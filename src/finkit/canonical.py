@@ -22,10 +22,10 @@ from .core import (
     Window,
     format_element,
     parse_element,
+    read_lines,
     sequences_over,
     span_enumerate,
 )
-from .parallel import first_hit
 
 ZERO_CONVENTIONS = ("support-boundary", "first-zero")
 
@@ -233,14 +233,7 @@ def parse_relation(text: str, k: int, window: Optional[Window] = None) -> EquivR
             raise FinkError(f"level {level} outside 1..{k}")
         return EquivRelSpec(kind, level=level)
     if kind == "table":
-        pairs = []
-        with open(param, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                left, _, right = line.partition("\t")
-                pairs.append((left, right))
+        pairs = [line.partition("\t")[::2] for line in read_lines(param)]
         return EquivRelSpec.from_pairs(pairs, k, window)
     raise FinkError(f"unknown relation {text!r}")
 
@@ -298,7 +291,7 @@ class CanonicalizationResult:
 
 
 def canonicalize_search(
-    R: EquivRelSpec, A: BlockSeq, m: int, w: Window, threads: int = 1
+    R: EquivRelSpec, A: BlockSeq, m: int, w: Window
 ) -> Optional[CanonicalizationResult]:
     """Find B <= A of length m on whose span R coincides with a candidate.
 
@@ -316,14 +309,11 @@ def canonicalize_search(
     caveat = PARTIAL_LIST_CAVEAT if k >= 2 else None
     empty = BlockSeq(k, ())
 
-    def classify(B: BlockSeq) -> Optional[CanonicalizationResult]:
+    for B in sequences_over(span, empty, m):
         for name, spec in cands:
             if restriction_equals(R, spec, B, w):
                 return CanonicalizationResult(name, spec, B, caveat)
-        return None
-
-    hit = first_hit(list(sequences_over(span, empty, m)), classify, threads)
-    return hit[1] if hit is not None else None
+    return None
 
 
 def t_count(k: int) -> int:

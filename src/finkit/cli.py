@@ -4,8 +4,9 @@ One binary, subcommand style.  Every report is built as a JSON-safe dict;
 --json prints it verbatim and text mode renders the same fields, so the two
 modes carry identical information.  Window parameters are echoed in every
 windowed report.  Exit codes: 0 success or witness found, 1 exhausted,
-absent or false, 2 usage or input error.  Outputs contain no randomness and
-never mention the thread count, so they are byte-identical at any --threads.
+absent or false, 2 usage or input error.  Every search is one sequential
+scan and outputs contain no randomness, so they are byte-identical across
+runs.  --threads is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     generators,
     parse_element,
     parse_seq,
+    read_lines,
     span_enumerate,
     tetris,
 )
@@ -44,7 +46,7 @@ def _add_window(p: argparse.ArgumentParser) -> None:
 
 
 def _add_search(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1, help="worker threads (results identical)")
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -240,7 +242,7 @@ def _cmd_gowers(args):
     w = _window(args)
     A = _ambient(args, w)
     f = gowers.parse_coloring(args.coloring, args.r, arity=1)
-    rep = gowers.gowers_search(f, A, args.m, w, threads=args.threads)
+    rep = gowers.gowers_search(f, A, args.m, w)
     report = {
         "command": "gowers",
         "window": _window_dict(w),
@@ -263,9 +265,7 @@ def _cmd_gowers_verify(args):
     if args.budget < 1:
         raise FinkError(f"budget must be positive, got {args.budget}")
     w = Window(args.k, args.nmax, max(args.m, 1))
-    rep = gowers.verify_finite_gowers(
-        args.k, args.m, args.r, args.nmax, budget=args.budget, threads=args.threads
-    )
+    rep = gowers.verify_finite_gowers(args.k, args.m, args.r, args.nmax, budget=args.budget)
     report = {
         "command": "gowers-verify",
         "window": _window_dict(w),
@@ -282,7 +282,7 @@ def _cmd_ramsey2(args):
     w = _window(args)
     A = _ambient(args, w)
     f = gowers.parse_coloring(args.coloring, args.r, arity=args.n)
-    rep = gowers.ramsey2_search(f, A, args.m, w, threads=args.threads)
+    rep = gowers.ramsey2_search(f, A, args.m, w)
     report = {
         "command": "ramsey2",
         "window": _window_dict(w),
@@ -307,7 +307,7 @@ def _cmd_forcing(args):
     B = parse_seq(args.seq, w.k)
     a = parse_seq(args.stem, w.k)
     F = forcing.parse_family(args.family, w.k)
-    verdict = forcing.decides(B, a, F, w, min_len=args.min_len, threads=args.threads)
+    verdict = forcing.decides(B, a, F, w, min_len=args.min_len)
     report = {
         "command": "forcing",
         "window": _window_dict(w),
@@ -327,7 +327,7 @@ def _cmd_galvin(args):
     A = _ambient(args, w)
     a = parse_seq(args.stem, w.k)
     F = forcing.parse_family(args.family, w.k)
-    res = forcing.galvin_dichotomy(A, a, F, args.m, w, threads=args.threads)
+    res = forcing.galvin_dichotomy(A, a, F, args.m, w)
     report = {
         "command": "galvin",
         "window": _window_dict(w),
@@ -348,7 +348,7 @@ def _cmd_classify(args):
     w = _window(args)
     A = _ambient(args, w)
     R = canonical.parse_relation(args.relation, w.k, w)
-    res = canonical.canonicalize_search(R, A, args.m, w, threads=args.threads)
+    res = canonical.canonicalize_search(R, A, args.m, w)
     report = {
         "command": "classify",
         "window": _window_dict(w),
@@ -394,13 +394,7 @@ def _cmd_mu(args):
 def _cmd_top_member(args):
     w = _window(args)
     B = parse_seq(args.seq, w.k)
-    base = []
-    with open(args.family, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            base.append(parse_seq(line, w.k))
+    base = [parse_seq(line, w.k) for line in read_lines(args.family)]
     if not base:
         raise FinkError(f"family file {args.family!r} lists no sequences")
     witness = None
@@ -422,13 +416,7 @@ def _cmd_top_member(args):
 
 def _cmd_diagonal(args):
     w = _window(args)
-    chain = []
-    with open(args.chain, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            chain.append(parse_seq(line, w.k))
+    chain = [parse_seq(line, w.k) for line in read_lines(args.chain)]
     report = {
         "command": "diagonal",
         "window": _window_dict(w),

@@ -6,8 +6,7 @@ is stored sparsely as a sorted tuple of (position, value) pairs; the value 0
 is never stored.  A block sequence is a finite tuple of elements whose
 supports are strictly separated: each element ends before the next begins.
 
-Everything here is an immutable value and every operation is pure, so all
-of it is safe to share across threads.
+Everything here is an immutable value and every operation is pure.
 
 Canonical text grammar::
 
@@ -420,6 +419,12 @@ def parse_seq(text: str, k: int) -> BlockSeq:
         return BlockSeq(k, tuple(parse_element(part, k) for part in text.split(";")))
     except InvalidSequence as e:
         raise ParseError(str(e)) from None
+
+
+def read_lines(path: str) -> list[str]:
+    """The stripped lines of a text file, skipping blank and '#' comment lines."""
+    with open(path, encoding="utf-8") as fh:
+        return [line for line in map(str.strip, fh) if line and not line.startswith("#")]
 
 
 def element_to_json(x: FinkElement) -> list[list[int]]:

@@ -23,10 +23,10 @@ from .core import (
     decompose,
     format_seq,
     parse_seq,
+    read_lines,
     sequences_over,
     span_enumerate,
 )
-from .parallel import first_hit
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,7 @@ def parse_family(text: str, k: int) -> FamilySpec:
     if kind == "support_ge":
         return FamilySpec("support_ge", s=int(param))
     if kind == "explicit":
-        seqs = []
-        with open(param, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                seqs.append(parse_seq(line, k))
-        return FamilySpec.explicit(seqs)
+        return FamilySpec.explicit(parse_seq(line, k) for line in read_lines(param))
     raise FinkError(f"unknown family {text!r}")
 
 
@@ -164,7 +157,6 @@ def rejects(
     F: FamilySpec,
     w: Window,
     min_len: int = 1,
-    threads: int = 1,
 ) -> RejectsResult:
     """Does no windowed condensation of B (compatible with a) accept a?
 
@@ -173,15 +165,12 @@ def rejects(
     if len(a):
         _require_stem(B, a)
 
-    def check(B2: BlockSeq) -> Optional[BlockSeq]:
+    for B2 in condensations(B, w, min_len):
         if len(a) and any(decompose(x, B2) is None for x in a):
-            return None
-        return B2 if _accepts(B2, a, F, w).holds else None
-
-    hit = first_hit(list(condensations(B, w, min_len)), check, threads)
-    if hit is None:
-        return RejectsResult(True, None)
-    return RejectsResult(False, hit[1])
+            continue
+        if _accepts(B2, a, F, w).holds:
+            return RejectsResult(False, B2)
+    return RejectsResult(True, None)
 
 
 def decides(
@@ -190,13 +179,12 @@ def decides(
     F: FamilySpec,
     w: Window,
     min_len: int = 1,
-    threads: int = 1,
 ) -> ForcingVerdict:
     """Run accepts, then rejects; report the first that holds, else undecided."""
     acc = accepts(B, a, F, w)
     if acc.holds:
         return ForcingVerdict("accepts")
-    rej = rejects(B, a, F, w, min_len, threads)
+    rej = rejects(B, a, F, w, min_len)
     if rej.holds:
         return ForcingVerdict("rejects", branch=acc.branch)
     return ForcingVerdict("undecided", branch=acc.branch, condensation=rej.condensation)
@@ -237,7 +225,6 @@ def galvin_dichotomy(
     F: FamilySpec,
     m: int,
     w: Window,
-    threads: int = 1,
 ) -> DichotomyResult:
     """Search length-m condensations B <= A for one of two certificates.
 
@@ -254,15 +241,12 @@ def galvin_dichotomy(
     span = span_enumerate(A, w)
     empty = BlockSeq(A.k, ())
 
-    def check(B: BlockSeq) -> Optional[DichotomyResult]:
+    for B in sequences_over(span, empty, m):
         if _avoids_family(B, a, F, w):
             return DichotomyResult(1, B)
         if _accepts(B, a, F, w).holds:
             return DichotomyResult(2, B)
-        return None
-
-    hit = first_hit(list(sequences_over(span, empty, m)), check, threads)
-    return hit[1] if hit is not None else DichotomyResult(None, None)
+    return DichotomyResult(None, None)
 
 
 @dataclass(frozen=True)
@@ -271,16 +255,14 @@ class OpenSetResult:
     witness: Optional[BlockSeq]
 
 
-def open_set_ramsey(
-    F: FamilySpec, A: BlockSeq, m: int, w: Window, threads: int = 1
-) -> OpenSetResult:
+def open_set_ramsey(F: FamilySpec, A: BlockSeq, m: int, w: Window) -> OpenSetResult:
     """Decide a basic open set against the cone below A.
 
     The family generates the open set of all sequences having a member as an
     initial segment.  Alternative 1 of the dichotomy puts the cone of the
     witness outside the set, alternative 2 puts it inside.
     """
-    res = galvin_dichotomy(A, BlockSeq(A.k, ()), F, m, w, threads)
+    res = galvin_dichotomy(A, BlockSeq(A.k, ()), F, m, w)
     if res.alternative is None:
         return OpenSetResult(None, None)
     return OpenSetResult("outside" if res.alternative == 1 else "inside", res.witness)

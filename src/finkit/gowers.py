@@ -21,12 +21,12 @@ from .core import (
     format_seq,
     generators,
     initial_segments,
+    read_lines,
     sequences_over,
     span_enumerate,
     tetris,
     window_elements,
 )
-from .parallel import counted_scan, first_hit
 
 Colorable = Union[FinkElement, BlockSeq]
 
@@ -71,6 +71,8 @@ class ColoringSpec:
             raise FinkError(f"coloring arity must be >= 1, got {self.arity}")
         if self.r < 2:
             raise FinkError(f"need at least 2 colors, got {self.r}")
+        if self.kind == "const" and not 0 <= self.param < self.r:
+            raise FinkError(f"constant color {self.param} outside 0..{self.r - 1}")
 
     def color(self, obj: Colorable) -> int:
         if self.kind == "const":
@@ -130,13 +132,9 @@ def parse_coloring(text: str, r: int, arity: int = 1) -> ColoringSpec:
         return ColoringSpec(arity, r, "value_at", param=int(param))
     if kind == "table":
         table = {}
-        with open(param, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, color = line.partition("\t")
-                table[key] = int(color)
+        for line in read_lines(param):
+            key, _, color = line.partition("\t")
+            table[key] = int(color)
         return ColoringSpec.from_table(table, r, arity)
     raise FinkError(f"unknown coloring rule {text!r}")
 
@@ -183,9 +181,7 @@ class _SpanState:
         return _SpanState(self.k, self.pairs + tuple(new_pairs)), fresh
 
 
-def gowers_search(
-    f: ColoringSpec, A: BlockSeq, m: int, w: Window, threads: int = 1
-) -> SearchReport:
+def gowers_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchReport:
     """Search for B <= A of length m with f constant on the span of B.
 
     Depth-first over span candidates in span order, pruning a partial B as
@@ -227,29 +223,15 @@ def gowers_search(
                 return hit
         return None
 
-    def branch(first: FinkElement):
-        nodes = [1]
-        nxt, fresh = _SpanState(k).extend(first)
-        col = None
-        for x in fresh:
-            cx = f.color(x)
-            if col is None:
-                col = cx
-            elif cx != col:
-                return None, nodes[0]
-        hit = grow([first], nxt, col, nodes)
-        return hit, nodes[0]
-
-    hit, nodes = counted_scan(candidates, branch, threads)
+    nodes = [0]
+    hit = grow([], _SpanState(k), None, nodes)
     if hit is None:
-        return SearchReport(False, None, None, nodes)
+        return SearchReport(False, None, None, nodes[0])
     blocks, color = hit
-    return SearchReport(True, BlockSeq(k, tuple(blocks)), color, nodes)
+    return SearchReport(True, BlockSeq(k, tuple(blocks)), color, nodes[0])
 
 
-def ramsey2_search(
-    f: ColoringSpec, A: BlockSeq, m: int, w: Window, threads: int = 1
-) -> SearchReport:
+def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchReport:
     """Search for B <= A of length m with f constant on all length-n
     block sequences drawn from the span of B (n = f.arity)."""
     n = f.arity
@@ -290,19 +272,12 @@ def ramsey2_search(
                 return hit
         return None
 
-    def branch(first: FinkElement):
-        nodes = [1]
-        nxt, fresh = _SpanState(k).extend(first)
-        if len(colors_of(fresh)) > 1:
-            return None, nodes[0]
-        hit = grow([first], nxt, fresh, nodes)
-        return hit, nodes[0]
-
-    hit, nodes = counted_scan(candidates, branch, threads)
+    nodes = [0]
+    hit = grow([], _SpanState(k), [], nodes)
     if hit is None:
-        return SearchReport(False, None, None, nodes)
+        return SearchReport(False, None, None, nodes[0])
     blocks, color = hit
-    return SearchReport(True, BlockSeq(k, tuple(blocks)), color, nodes)
+    return SearchReport(True, BlockSeq(k, tuple(blocks)), color, nodes[0])
 
 
 @dataclass(frozen=True)
@@ -318,7 +293,6 @@ def verify_finite_gowers(
     r: int,
     N: int,
     budget: int = 2**24,
-    threads: int = 1,
 ) -> VerifyReport:
     """Does every r-coloring of the window [0, N) admit a length-m witness?
 
@@ -343,16 +317,10 @@ def verify_finite_gowers(
             out.append(d)
         return tuple(out)
 
-    def check(idx: int) -> Optional[int]:
+    for idx in range(total):
         digits = digits_of(idx)
         f = ColoringSpec.from_function(lambda x: digits[index[x.values]], r)
-        report = gowers_search(f, A, m, w)
-        return None if report.found else idx
-
-    hit = first_hit(range(total), check, threads)
-    if hit is None:
-        return VerifyReport(True, total, None)
-    _, bad_idx = hit
-    digits = digits_of(bad_idx)
-    table = {format_element(x): digits[i] for i, x in enumerate(elems)}
-    return VerifyReport(False, bad_idx + 1, table)
+        if not gowers_search(f, A, m, w).found:
+            table = {format_element(x): digits[i] for i, x in enumerate(elems)}
+            return VerifyReport(False, idx + 1, table)
+    return VerifyReport(True, total, None)

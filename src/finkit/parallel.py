@@ -1,61 +1,1 @@
-"""Deterministic fan-out over ordered candidate streams.
-
-Searches split on an ordered list of candidates.  The merge rule is fixed so
-that the reported hit and all accounting are exactly what a plain sequential
-scan would produce; extra threads only add speculative evaluation of later
-candidates, never a different answer.
-"""
-
-from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def ordered_results(items: Sequence[T], worker: Callable[[T], R], threads: int) -> Iterator[R]:
-    """Yield worker(item) in item order.
-
-    With threads > 1 the items are evaluated in bounded chunks on a thread
-    pool; consumers may stop early and waste at most one chunk block.
-    """
-    if threads <= 1:
-        for item in items:
-            yield worker(item)
-        return
-    items = list(items)
-    chunk = max(1, min(64, (len(items) + threads - 1) // threads))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, len(items), chunk * threads):
-            block = items[start : start + chunk * threads]
-            yield from pool.map(worker, block)
-
-
-def first_hit(
-    items: Sequence[T], worker: Callable[[T], Optional[R]], threads: int = 1
-) -> Optional[tuple[int, R]]:
-    """Index and value of the first item whose worker result is not None."""
-    for i, res in enumerate(ordered_results(items, worker, threads)):
-        if res is not None:
-            return i, res
-    return None
-
-
-def counted_scan(
-    items: Sequence[T],
-    worker: Callable[[T], tuple[Optional[R], int]],
-    threads: int = 1,
-) -> tuple[Optional[R], int]:
-    """Merge (hit, count) results as the sequential scan would.
-
-    Counts accumulate across items up to and including the first one that
-    produced a hit; later speculative counts are discarded.
-    """
-    total = 0
-    for res, count in ordered_results(items, worker, threads):
-        total += count
-        if res is not None:
-            return res, total
-    return None, total
+"""Empty stub: perfbench/tracer.py imports every module named in its MODULES tuple, this one included, so deleting it would break --trace 1."""

@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from finkit import (
+    BlockSeq,
+    CanonicalizationResult,
     EquivRelSpec,
     FinkError,
     Window,
@@ -15,7 +17,9 @@ from finkit import (
     parse_relation,
     relation_holds,
     restriction_equals,
+    sequences_over,
     sos_check,
+    span_enumerate,
     t_count,
     window_elements,
 )
@@ -213,12 +217,18 @@ def test_classify_exhausted_when_no_sos_fits():
 
 
 def test_classify_threads_agree():
+    # the lazy search returns the first hit of a flat scan
     w = Window(1, 6, 6)
     A = generators(1, 6)
     R = EquivRelSpec("size_parity")
-    assert canonicalize_search(R, A, 2, w, threads=1) == canonicalize_search(
-        R, A, 2, w, threads=8
+    flat = list(sequences_over(span_enumerate(A, w), BlockSeq(1, ()), 2))
+    expected = next(
+        CanonicalizationResult(name, spec, B, None)
+        for B in flat
+        for name, spec in candidate_relations(1)
+        if restriction_equals(R, spec, B, w)
     )
+    assert canonicalize_search(R, A, 2, w) == expected
 
 
 # -- the canonical count ---------------------------------------------------------------

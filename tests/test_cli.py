@@ -53,6 +53,14 @@ def test_gowers_exit_codes():
     assert code == 1
 
 
+def test_gowers_constant_color_out_of_range():
+    for color in ("5", "-1"):
+        argv = ["gowers", "--k", "1", "--nmax", "3", "--coloring", f"const:{color}"]
+        code, out, err = invoke(argv + ["--r", "2", "--m", "2"])
+        assert code == 2 and out == ""
+        assert err == f"error: constant color {color} outside 0..1\n"
+
+
 def test_gowers_verify_reports():
     code, out, _ = invoke(["gowers-verify", "--k", "1", "--nmax", "1", "--m", "1"])
     assert code == 0 and "holds = true" in out

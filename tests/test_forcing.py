@@ -2,10 +2,14 @@ import pytest
 
 from finkit import (
     BlockSeq,
+    DichotomyResult,
+    EquivRelSpec,
     FamilySpec,
     IncompatibleStem,
+    RejectsResult,
     Window,
     accepts,
+    canonicalize_search,
     condensations,
     decides,
     format_seq,
@@ -15,7 +19,10 @@ from finkit import (
     parse_family,
     parse_seq,
     rejects,
+    sequences_over,
+    span_enumerate,
 )
+from finkit import canonical, forcing
 from oracles import (
     raw_all_sequences,
     raw_extensions,
@@ -260,13 +267,47 @@ def test_open_set_examples():
 
 
 def test_threads_agree():
+    # the lazy searches return the first hit of a flat scan
     w = Window(1, 6, 6)
     A = generators(1, 6)
     for F in (F_EVEN, F_GE2):
-        assert galvin_dichotomy(A, EMPTY, F, 2, w, threads=1) == galvin_dichotomy(
-            A, EMPTY, F, 2, w, threads=8
-        )
-        assert rejects(A, EMPTY, F, w, threads=1) == rejects(A, EMPTY, F, w, threads=8)
+        galvin = DichotomyResult(None, None)
+        for B in list(sequences_over(span_enumerate(A, w), EMPTY, 2)):
+            extensions = raw_extensions(raw_span(B), (), w.len_max)
+            if not any(family_on_raw(F, e) for e in extensions):
+                galvin = DichotomyResult(1, B)
+                break
+            if accepts(B, EMPTY, F, w).holds:
+                galvin = DichotomyResult(2, B)
+                break
+        assert galvin_dichotomy(A, EMPTY, F, 2, w) == galvin
+        accepting = [B for B in condensations(A, w) if accepts(B, EMPTY, F, w).holds]
+        expected = RejectsResult(False, accepting[0]) if accepting else RejectsResult(True, None)
+        assert rejects(A, EMPTY, F, w) == expected
+
+
+def test_searches_stop_at_first_hit(monkeypatch):
+    # the scans consume candidates only up to the first hit
+    def count_yields(module):
+        count = [0]
+        inner = module.sequences_over
+
+        def counted(*args):
+            for item in inner(*args):
+                count[0] += 1
+                yield item
+
+        monkeypatch.setattr(module, "sequences_over", counted)
+        return count
+
+    w = Window(1, 6, 6)
+    A = generators(1, 6)
+    galvin_count = count_yields(forcing)
+    assert galvin_dichotomy(A, EMPTY, F_EVEN, 2, w).alternative == 2
+    assert galvin_count[0] == 17
+    classify_count = count_yields(canonical)
+    assert canonicalize_search(EquivRelSpec("size_parity"), A, 2, w) is not None
+    assert classify_count[0] == 2
 
 
 # -- level-2 windows ----------------------------------------------------------------

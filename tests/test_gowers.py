@@ -1,6 +1,7 @@
 import pytest
 
 from finkit import (
+    BlockSeq,
     BudgetExceeded,
     ColoringSpec,
     FinkError,
@@ -11,14 +12,27 @@ from finkit import (
     parse_coloring,
     parse_seq,
     ramsey2_search,
+    sequences_over,
+    span_enumerate,
     verify_finite_gowers,
     window_elements,
 )
-from oracles import raw_span, raw_sequences, to_seq
+from oracles import raw_span, raw_sequences, to_elem, to_seq
 
 
 W4 = Window(1, 4, 4)
 G4 = generators(1, 4)
+
+
+def flat_first_hit(A, m, w, colors_of):
+    """First length-m B over the span of A, in span order, whose colored
+    objects carry one color, found by scanning the fully built list."""
+    flat = list(sequences_over(span_enumerate(A, w), BlockSeq(A.k, ()), m))
+    for B in flat:
+        colors = colors_of(B)
+        if len(colors) == 1:
+            return B, colors.pop()
+    return None, None
 
 
 def test_constant_coloring_returns_truncation():
@@ -81,10 +95,13 @@ def test_search_miss_is_exhaustion():
 
 
 def test_thread_counts_agree():
+    # the pruned lazy search returns the first hit of a flat scan
     for f in (ColoringSpec(1, 2, "size_mod"), ColoringSpec(1, 2, "min_mod")):
-        a = gowers_search(f, G4, 2, W4, threads=1)
-        b = gowers_search(f, G4, 2, W4, threads=8)
-        assert a == b
+        rep = gowers_search(f, G4, 2, W4)
+        witness, color = flat_first_hit(
+            G4, 2, W4, lambda B: {f.color(to_elem(s, 1)) for s in raw_span(B)}
+        )
+        assert (rep.found, rep.witness, rep.color) == (witness is not None, witness, color)
 
 
 def test_table_coloring_must_be_total():
@@ -171,10 +188,15 @@ def test_ramsey2_soundness_against_bruteforce():
 
 
 def test_ramsey2_threads_agree():
+    # the pruned lazy search returns the first hit of a flat scan
     w = Window(1, 5, 5)
     A = generators(1, 5)
     f = ColoringSpec(2, 2, "size_mod")
-    assert ramsey2_search(f, A, 2, w, threads=1) == ramsey2_search(f, A, 2, w, threads=8)
+    rep = ramsey2_search(f, A, 2, w)
+    witness, color = flat_first_hit(
+        A, 2, w, lambda B: {f.color(to_seq(p, 1)) for p in raw_sequences(raw_span(B), 2)}
+    )
+    assert (rep.found, rep.witness, rep.color) == (witness is not None, witness, color)
 
 
 def test_verify_level_two_singleton_windows():
