@@ -249,36 +249,74 @@ def generators(k: int, n: int) -> BlockSeq:
     return BlockSeq(k, tuple(FinkElement(k, ((i, k),)) for i in range(n)))
 
 
-def _selections(m: int, k: int):
-    """All (index tuple, exponent tuple) pairs in lexicographic order.
+def _tetris_images(x: FinkElement) -> list[tuple[tuple[int, int], ...]]:
+    """The values of T^0(x), ..., T^(k-1)(x): the images a span may use."""
+    return [tetris(x, j).values for j in range(x.k)]
 
-    Index tuples are nonempty increasing subsets of range(m); exponents range
-    over 0..k-1 with at least one 0 (the exponent k is dropped: it would
-    contribute the zero function and break decomposition uniqueness).
+
+def _join(sums: list, images: list) -> list:
+    """Partial block sums extended by one more block, given its tetris images.
+
+    A sum is (values, has a zero exponent); the block starts after every
+    position in sums, so joining keeps positions sorted.  Sums come outermost
+    and the exponent innermost: extending sums listed in exponent-vector
+    order keeps that order.
     """
-    subsets = sorted(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(m), r) for r in range(1, m + 1)
-        )
-    )
-    for idxs in subsets:
-        for exps in itertools.product(range(k), repeat=len(idxs)):
-            if 0 in exps:
-                yield idxs, exps
+    return [
+        (values + image, zero or j == 0)
+        for values, zero in sums
+        for j, image in enumerate(images)
+    ]
+
+
+class SpanState:
+    """The span of a block sequence grown one block at a time.
+
+    Holds every partial sum over the blocks so far, the empty one included;
+    sums with a zero exponent are span elements, the rest may still become
+    one when a later block joins with exponent 0.
+    """
+
+    __slots__ = ("k", "sums")
+
+    def __init__(self, k: int, sums: tuple = (((), False),)):
+        self.k = k
+        self.sums = sums
+
+    def extend(self, block: FinkElement) -> tuple["SpanState", list[FinkElement]]:
+        """The state with block appended, and the span elements it adds."""
+        sums = _join(self.sums, _tetris_images(block))
+        fresh = [FinkElement(self.k, values) for values, zero in sums if zero]
+        return SpanState(self.k, self.sums + tuple(sums)), fresh
 
 
 def span_enumerate(A: BlockSeq, w: Window) -> list[FinkElement]:
     """The span [A]: every block sum of tetris images with some exponent 0.
 
     Deterministic order: lexicographic on (generator index set, exponent
-    vector).  Distinct selections always yield distinct elements, so the
-    result is duplicate free.
+    vector), where index sets are nonempty increasing subsets of range(len(A))
+    and exponents run over 0..k-1 (the exponent k would contribute the zero
+    function and break decomposition uniqueness).  Distinct selections always
+    yield distinct elements, so the result is duplicate free.
+
+    Built in one depth-first pass over the index sets, which visits them in
+    exactly that order.  The tetris images of each block are computed once;
+    an index set's sums are its parent's sums joined with every image of the
+    newly added block.  Supports are separated, so joining keeps positions
+    sorted, and every element is still checked by the FinkElement constructor.
     """
     w.require_inside(A, "block sequence")
-    out = []
-    for idxs, exps in _selections(len(A), A.k):
-        parts = [tetris(A.elems[i], j) for i, j in zip(idxs, exps)]
-        out.append(block_sum(parts, A.k))
+    k = A.k
+    images = [_tetris_images(x) for x in A.elems]
+    out: list[FinkElement] = []
+
+    def walk(prefix: list, start: int) -> None:
+        for i in range(start, len(images)):
+            sums = _join(prefix, images[i])
+            out.extend(FinkElement(k, values) for values, zero in sums if zero)
+            walk(sums, i + 1)
+
+    walk([((), False)], 0)
     return out
 
 

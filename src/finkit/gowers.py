@@ -16,6 +16,7 @@ from .core import (
     BudgetExceeded,
     FinkElement,
     FinkError,
+    SpanState,
     Window,
     format_element,
     format_seq,
@@ -24,7 +25,6 @@ from .core import (
     read_lines,
     sequences_over,
     span_enumerate,
-    tetris,
     window_elements,
 )
 
@@ -147,62 +147,52 @@ class SearchReport:
     nodes_explored: int
 
 
-class _SpanState:
-    """Partial sums over the chosen blocks, tracked incrementally.
+def _successor_starts(candidates: list[FinkElement], A: BlockSeq) -> list[int]:
+    """Per span candidate c, where the candidates that may follow c begin.
 
-    Each entry is (values tuple, has_zero_exponent).  Entries with the flag
-    set are genuine span elements; the rest may still become one when a later
-    block joins with exponent 0.
+    span_enumerate lists [A] grouped by first block, in block order.  If c's
+    last block is A[t], a candidate whose first block is A[s] with s <= t
+    cannot start after c: for s < t it starts inside A[s], and for s = t both
+    images keep A[t]'s peaks, so it starts at or before the first peak and c
+    ends at or after the last one.  Every candidate from A[t + 1] on starts
+    after c.  So the next pick starts at the first candidate of A[t + 1].
     """
-
-    __slots__ = ("k", "pairs")
-
-    def __init__(self, k: int, pairs: tuple = ()):
-        self.k = k
-        self.pairs = pairs
-
-    def extend(self, block: FinkElement) -> tuple["_SpanState", list[FinkElement]]:
-        images = []
-        for j in range(self.k):
-            img = tetris(block, j)
-            images.append((img.values, j == 0))
-        new_pairs = []
-        fresh = []
-        for iv, iz in images:
-            new_pairs.append((iv, iz))
-            if iz:
-                fresh.append(FinkElement(self.k, iv))
-            for sv, sz in self.pairs:
-                comb = sv + iv
-                z = sz or iz
-                new_pairs.append((comb, z))
-                if z:
-                    fresh.append(FinkElement(self.k, comb))
-        return _SpanState(self.k, self.pairs + tuple(new_pairs)), fresh
+    block_of = {pos: i for i, x in enumerate(A.elems) for pos, _ in x.values}
+    first = [len(candidates)] * (len(A) + 1)
+    for idx in range(len(candidates) - 1, -1, -1):
+        first[block_of[candidates[idx].min_supp]] = idx
+    for i in range(len(A) - 1, -1, -1):
+        first[i] = min(first[i], first[i + 1])
+    return [first[block_of[c.max_supp] + 1] for c in candidates]
 
 
-def gowers_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchReport:
+def gowers_search(
+    f: ColoringSpec, A: BlockSeq, m: int, w: Window, *, span: Optional[list] = None
+) -> SearchReport:
     """Search for B <= A of length m with f constant on the span of B.
 
     Depth-first over span candidates in span order, pruning a partial B as
     soon as its partial span carries two colors.  The witness is the first
     one in that order; a miss means the window is exhausted, not that the
-    infinite statement fails.
+    infinite statement fails.  A caller that searches one ambient many times
+    may pass span = span_enumerate(A, w) to build it once.
     """
     if f.arity != 1:
         raise FinkError(f"gowers_search needs an arity-1 coloring, got {f.arity}")
     if not 1 <= m <= w.len_max:
         raise FinkError(f"target length {m} outside 1..{w.len_max}")
     f.check_total(w)
-    candidates = span_enumerate(A, w)
+    candidates = span_enumerate(A, w) if span is None else span
+    after = _successor_starts(candidates, A)
     k = A.k
 
-    def grow(blocks, state, color, target_nodes):
-        # returns (witness blocks or None); target_nodes is a 1-cell counter
+    def grow(blocks, start, state, color, target_nodes):
+        # returns (witness blocks, color) or None; target_nodes is a 1-cell counter
         if len(blocks) == m:
             return blocks, color
         floor = blocks[-1].max_supp if blocks else -1
-        for c in candidates:
+        for idx in range(start, len(candidates)):
+            c = candidates[idx]
             if c.min_supp <= floor:
                 continue
             target_nodes[0] += 1
@@ -218,13 +208,13 @@ def gowers_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRepo
                     break
             if not ok:
                 continue
-            hit = grow(blocks + [c], nxt, col, target_nodes)
+            hit = grow(blocks + [c], after[idx], nxt, col, target_nodes)
             if hit is not None:
                 return hit
         return None
 
     nodes = [0]
-    hit = grow([], _SpanState(k), None, nodes)
+    hit = grow([], 0, SpanState(k), None, nodes)
     if hit is None:
         return SearchReport(False, None, None, nodes[0])
     blocks, color = hit
@@ -243,6 +233,7 @@ def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRep
         raise FinkError(f"target length {m} exceeds window len_max={w.len_max}")
     f.check_total(w)
     candidates = span_enumerate(A, w)
+    after = _successor_starts(candidates, A)
     k = A.k
     empty = BlockSeq(k, ())
 
@@ -254,12 +245,13 @@ def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRep
                 return seen
         return seen
 
-    def grow(blocks, state, span_list, target_nodes):
+    def grow(blocks, start, state, span_list, target_nodes):
         if len(blocks) == m:
             color = f.color(BlockSeq(k, tuple(blocks[:n])))
             return blocks, color
         floor = blocks[-1].max_supp if blocks else -1
-        for c in candidates:
+        for idx in range(start, len(candidates)):
+            c = candidates[idx]
             if c.min_supp <= floor:
                 continue
             target_nodes[0] += 1
@@ -267,13 +259,13 @@ def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRep
             grown = span_list + fresh
             if len(colors_of(grown)) > 1:
                 continue
-            hit = grow(blocks + [c], nxt, grown, target_nodes)
+            hit = grow(blocks + [c], after[idx], nxt, grown, target_nodes)
             if hit is not None:
                 return hit
         return None
 
     nodes = [0]
-    hit = grow([], _SpanState(k), [], nodes)
+    hit = grow([], 0, SpanState(k), [], nodes)
     if hit is None:
         return SearchReport(False, None, None, nodes[0])
     blocks, color = hit
@@ -298,16 +290,26 @@ def verify_finite_gowers(
 
     Iterates all r**(window size) colorings in base-r counter order and runs
     the span search on each; the first failure is reported as an explicit
-    table.  Combinations whose coloring count exceeds the budget are refused.
+    table.  Combinations whose coloring count exceeds the budget are refused
+    before anything is enumerated.  The span of the generators is built once
+    and shared by every coloring's search.
     """
     w = Window(k, N, max(m, 1))
+    if r < 2:
+        raise FinkError(f"need at least 2 colors, got {r}")
+    # The window holds size = (k+1)^N - k^N >= 2^(N-1) elements.  Past N = 64
+    # no budget an int can hold admits r^size colorings, so size is not
+    # computed; below it r^size is built only up to r^cap > budget.
+    size = (k + 1) ** N - k**N if N <= 64 else None
+    cap = budget.bit_length() + 1
+    if size is None or r ** min(size, cap) > budget:
+        big = size is None or size.bit_length() > 64
+        shown = f"({k + 1}^{N} - {k}^{N})" if big else size
+        raise BudgetExceeded(f"{r}^{shown} colorings exceed budget {budget}")
+    total = r**size
     elems = list(window_elements(w))
-    total = r ** len(elems)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{r}^{len(elems)} = {total} colorings exceed budget {budget}"
-        )
     A = generators(k, N)
+    span = span_enumerate(A, w)
     index = {x.values: i for i, x in enumerate(elems)}
 
     def digits_of(idx: int) -> tuple[int, ...]:
@@ -320,7 +322,7 @@ def verify_finite_gowers(
     for idx in range(total):
         digits = digits_of(idx)
         f = ColoringSpec.from_function(lambda x: digits[index[x.values]], r)
-        if not gowers_search(f, A, m, w).found:
+        if not gowers_search(f, A, m, w, span=span).found:
             table = {format_element(x): digits[i] for i, x in enumerate(elems)}
             return VerifyReport(False, idx + 1, table)
     return VerifyReport(True, total, None)

@@ -48,6 +48,34 @@ def raw_span(A: BlockSeq) -> set:
     return out
 
 
+def ordered_span(A: BlockSeq) -> list:
+    """[A] as sorted value tuples, in the library's documented span order.
+
+    Lists every nonempty index subset, sorts the subsets, and for each one
+    every exponent vector over 0..k-1 with some 0 in product order; each
+    element is merged into a dict and sorted from scratch.
+    """
+    k = A.k
+    gens = [dict(x.values) for x in A.elems]
+    subsets = sorted(
+        idxs
+        for r in range(1, len(gens) + 1)
+        for idxs in itertools.combinations(range(len(gens)), r)
+    )
+    out = []
+    for idxs in subsets:
+        for exps in itertools.product(range(k), repeat=len(idxs)):
+            if 0 not in exps:
+                continue
+            merged = {}
+            for i, j in zip(idxs, exps):
+                for pos, val in gens[i].items():
+                    if val > j:
+                        merged[pos] = val - j
+            out.append(tuple(sorted(merged.items())))
+    return out
+
+
 def _start(s) -> int:
     return min(p for p, _ in s)
 

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from finkit import parse_element
@@ -77,6 +78,15 @@ def test_gowers_verify_budget_error():
         ["gowers-verify", "--k", "1", "--nmax", "2", "--m", "2", "--budget", "0"]
     )
     assert code == 2 and "positive" in err
+
+
+def test_gowers_verify_refuses_huge_window_without_enumerating():
+    # 2^40 - 1 elements: the refusal must not list them or build 2^(2^40 - 1)
+    t0 = time.monotonic()
+    code, out, err = invoke(["gowers-verify", "--k", "1", "--nmax", "40", "--m", "2"])
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: 2^1099511627775 colorings exceed budget 16777216\n"
 
 
 def test_ramsey2_runs():

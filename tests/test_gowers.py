@@ -133,6 +133,17 @@ def test_verify_budget_refusal():
         verify_finite_gowers(1, 2, 2, 5, budget=2**20)
 
 
+def test_verify_refusal_names_the_count_without_building_it():
+    with pytest.raises(BudgetExceeded, match=r"^3\^15 colorings exceed budget 1000$"):
+        verify_finite_gowers(1, 2, 3, 4, budget=1000)
+    # an exponent too long to print is shown as the window-size formula
+    for k, N in ((2, 10**9), (10**6, 64)):
+        with pytest.raises(BudgetExceeded, match=rf"^2\^\({k + 1}\^{N} - {k}\^{N}\) colorings"):
+            verify_finite_gowers(k, 2, 2, N)
+    with pytest.raises(FinkError, match="at least 2 colors"):
+        verify_finite_gowers(1, 2, 0, 3)
+
+
 def test_verify_color_permutation_equivariance():
     # relabeling colors cannot change whether a witness exists
     w = Window(1, 3, 3)
