@@ -15,7 +15,6 @@ from .canonical import (
     candidate_relations,
     level_stats,
     parse_relation,
-    relation_holds,
     restriction_equals,
     sos_check,
     t_count,
@@ -28,6 +27,7 @@ from .coideals import (
     dense_open_violation,
     diagonal_build,
     diagonalizes_check,
+    first_common_condensation,
     mu,
     partition_refine,
     span_peaks,

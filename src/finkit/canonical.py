@@ -10,8 +10,6 @@ with a caveat because the complete list is longer.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -124,14 +122,6 @@ def sos_check(a: FinkElement, zero_convention: str = "support-boundary") -> SosR
     return SosResult(True, None)
 
 
-def _min_at(a: FinkElement, i: int) -> Optional[int]:
-    return level_stats(a).min_level(i)
-
-
-def _max_at(a: FinkElement, i: int) -> Optional[int]:
-    return level_stats(a).max_level(i)
-
-
 @dataclass(frozen=True)
 class EquivRelSpec:
     """A decidable equivalence relation on windowed elements.
@@ -139,7 +129,8 @@ class EquivRelSpec:
     Built-ins: equality, full, min_level:i, max_level:i, minmax_level:i,
     size_parity.  Table relations come from an edge list whose transitive
     closure is computed on load; elements the table never mentions form
-    singleton classes, and pairs outside the table's window are rejected.
+    singleton classes, and elements outside the table's window are rejected.
+    Every relation is given by its key function: a R b iff key(a) == key(b).
     """
 
     kind: str
@@ -147,32 +138,30 @@ class EquivRelSpec:
     classes: Optional[dict[str, int]] = None
     window: Optional[Window] = None
 
-    def holds(self, a: FinkElement, b: FinkElement) -> bool:
+    def key(self, a: FinkElement):
+        """The class of a: two elements are related exactly when their keys are equal."""
         if self.kind == "equality":
-            return a == b
+            return a.values
         if self.kind == "full":
-            return True
-        if self.kind == "min_level":
-            return _min_at(a, self.level) == _min_at(b, self.level)
-        if self.kind == "max_level":
-            return _max_at(a, self.level) == _max_at(b, self.level)
-        if self.kind == "minmax_level":
-            return _min_at(a, self.level) == _min_at(b, self.level) and _max_at(
-                a, self.level
-            ) == _max_at(b, self.level)
+            return 0
         if self.kind == "size_parity":
-            return len(a.support()) % 2 == len(b.support()) % 2
+            return len(a.values) % 2
+        if self.kind == "min_level":
+            return level_stats(a).min_level(self.level)
+        if self.kind == "max_level":
+            return level_stats(a).max_level(self.level)
+        if self.kind == "minmax_level":
+            st = level_stats(a)
+            return st.min_level(self.level), st.max_level(self.level)
         if self.kind == "table":
-            return self._class_of(a) == self._class_of(b)
+            if self.window is not None and not self.window.contains_element(a):
+                raise FinkError(f"element {a} outside the relation's window")
+            text = format_element(a)
+            return self.classes.get(text, text)  # unmentioned: a class of its own
         raise FinkError(f"unknown relation kind {self.kind!r}")
 
-    def _class_of(self, a: FinkElement):
-        if self.window is not None and not self.window.contains_element(a):
-            raise FinkError(f"element {a} outside the relation's window")
-        key = format_element(a)
-        if key in self.classes:
-            return self.classes[key]
-        return key  # unmentioned elements sit in their own class
+    def holds(self, a: FinkElement, b: FinkElement) -> bool:
+        return self.key(a) == self.key(b)
 
     def name(self, k: int) -> str:
         if self.kind == "equality":
@@ -200,15 +189,14 @@ class EquivRelSpec:
             return x
 
         for left, right in pairs:
+            keys = []
             for text in (left, right):
                 e = parse_element(text, k)
                 if window is not None and not window.contains_element(e):
                     raise FinkError(f"table element {text!r} outside the window")
-                key = format_element(e)
-                parent.setdefault(key, key)
-            la, rb = find(format_element(parse_element(left, k))), find(
-                format_element(parse_element(right, k))
-            )
+                keys.append(format_element(e))
+                parent.setdefault(keys[-1], keys[-1])
+            la, rb = find(keys[0]), find(keys[1])
             if la != rb:
                 parent[la] = rb
         classes = {key: find(key) for key in parent}
@@ -224,8 +212,10 @@ class EquivRelSpec:
 def parse_relation(text: str, k: int, window: Optional[Window] = None) -> EquivRelSpec:
     """Parse the CLI syntax: equality, full, min_level:1, max_level:1,
     minmax_level:1, size_parity, table:FILE (elementA<TAB>elementB lines)."""
-    kind, _, param = text.partition(":")
+    kind, colon, param = text.partition(":")
     if kind in ("equality", "full", "size_parity"):
+        if colon:
+            raise FinkError(f"relation {kind!r} takes no parameter, got {text!r}")
         return EquivRelSpec(kind)
     if kind in ("min_level", "max_level", "minmax_level"):
         level = int(param)
@@ -238,17 +228,16 @@ def parse_relation(text: str, k: int, window: Optional[Window] = None) -> EquivR
     raise FinkError(f"unknown relation {text!r}")
 
 
-def relation_holds(R: EquivRelSpec, a: FinkElement, b: FinkElement) -> bool:
-    return R.holds(a, b)
+def _same_partition(r_keys: list, s_keys: list) -> bool:
+    """Do two key lists over the same elements split them alike?  Exactly when
+    each key determines the other: as many distinct pairs as keys on either side."""
+    return len(set(r_keys)) == len(set(zip(r_keys, s_keys))) == len(set(s_keys))
 
 
 def restriction_equals(R: EquivRelSpec, S: EquivRelSpec, B: BlockSeq, w: Window) -> bool:
     """Do R and S agree on every pair from the span of B?"""
     span = span_enumerate(B, w)
-    for a, b in itertools.combinations_with_replacement(span, 2):
-        if R.holds(a, b) != S.holds(a, b):
-            return False
-    return True
+    return _same_partition([R.key(x) for x in span], [S.key(x) for x in span])
 
 
 def candidate_relations(k: int) -> list[tuple[str, EquivRelSpec]]:
@@ -258,21 +247,11 @@ def candidate_relations(k: int) -> list[tuple[str, EquivRelSpec]]:
     it is the min/max family plus the trivial relations, a proper subset of
     the full canonical list.
     """
-    if k == 1:
-        specs = [
-            EquivRelSpec("min_level", level=1),
-            EquivRelSpec("max_level", level=1),
-            EquivRelSpec("minmax_level", level=1),
-            EquivRelSpec("equality"),
-            EquivRelSpec("full"),
-        ]
-    else:
-        specs = (
-            [EquivRelSpec("min_level", level=i) for i in range(1, k + 1)]
-            + [EquivRelSpec("max_level", level=i) for i in range(1, k + 1)]
-            + [EquivRelSpec("minmax_level", level=i) for i in range(1, k + 1)]
-            + [EquivRelSpec("equality"), EquivRelSpec("full")]
-        )
+    specs = [
+        EquivRelSpec(kind, level=i)
+        for kind in ("min_level", "max_level", "minmax_level")
+        for i in range(1, k + 1)
+    ] + [EquivRelSpec("equality"), EquivRelSpec("full")]
     return [(spec.name(k), spec) for spec in specs]
 
 
@@ -297,7 +276,8 @@ def canonicalize_search(
 
     B is scanned in span order (restricted to staircase elements when
     k >= 2); for each B the candidates are tried in list order and the first
-    agreement wins.  None means the window admits no classification.
+    agreement wins.  The span of B and R's keys on it are built once per B.
+    None means the window admits no classification.
     """
     if not 1 <= m <= w.len_max:
         raise FinkError(f"target length {m} outside 1..{w.len_max}")
@@ -307,11 +287,12 @@ def canonicalize_search(
         span = [x for x in span if sos_check(x).ok]
     cands = candidate_relations(k)
     caveat = PARTIAL_LIST_CAVEAT if k >= 2 else None
-    empty = BlockSeq(k, ())
 
-    for B in sequences_over(span, empty, m):
+    for B in sequences_over(span, BlockSeq(k, ()), m):
+        span_b = span_enumerate(B, w)
+        r_keys = [R.key(x) for x in span_b]
         for name, spec in cands:
-            if restriction_equals(R, spec, B, w):
+            if _same_partition(r_keys, [spec.key(x) for x in span_b]):
                 return CanonicalizationResult(name, spec, B, caveat)
     return None
 
@@ -319,14 +300,13 @@ def canonicalize_search(
 def t_count(k: int) -> int:
     """The size of the canonical list for level k, in exact integers.
 
-    Uses k! * sum_{j<=k} 1/j! = sum_{j<=k} k!/j!, which is an integer, so no
-    floating point enters.
+    Uses e(n) = n! * sum_{j<=n} 1/j! = sum_{j<=n} n!/j!, an integer with
+    e(0) = 1 and e(n) = n * e(n-1) + 1, so no floating point enters.
     """
     if k < 1:
         raise FinkError(f"k must be >= 1, got {k}")
-
-    def scaled_e(n: int) -> int:
-        return sum(math.factorial(n) // math.factorial(j) for j in range(n + 1))
-
-    ek, ek1 = scaled_e(k), scaled_e(k - 1)
+    ek1 = 1
+    for i in range(1, k):
+        ek1 = ek1 * i + 1
+    ek = ek1 * k + 1
     return ek * ek + k * (ek - ek1) ** 2

@@ -38,6 +38,9 @@ EXIT_OK = 0
 EXIT_EXHAUSTED = 1
 EXIT_USAGE = 2
 
+# Python prints an int of at most 4300 digits; t(858) has 4297, t(859) has 4303.
+TK_MAX_K = 858
+
 
 def _add_window(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True, help="level bound k >= 1")
@@ -377,6 +380,8 @@ def _cmd_sos(args):
 
 
 def _cmd_tk(args):
+    if args.k > TK_MAX_K:
+        raise FinkError(f"t({args.k}) has more than 4300 digits; k must be at most {TK_MAX_K}")
     return {"command": "tk", "k": args.k, "t": canonical.t_count(args.k)}, EXIT_OK
 
 
@@ -397,11 +402,7 @@ def _cmd_top_member(args):
     base = [parse_seq(line, w.k) for line in read_lines(args.family)]
     if not base:
         raise FinkError(f"family file {args.family!r} lists no sequences")
-    witness = None
-    for A in base:
-        witness = coideals.common_condensation(A, B, args.length, w)
-        if witness is not None:
-            break
+    witness = coideals.first_common_condensation(base, B, args.length, w)
     report = {
         "command": "top-member",
         "window": _window_dict(w),

@@ -67,6 +67,15 @@ def common_condensation(
     return None
 
 
+def first_common_condensation(base, B: BlockSeq, L: int, w: Window) -> Optional[BlockSeq]:
+    """The common condensation of B with the first base sequence that has one."""
+    for A in base:
+        found = common_condensation(A, B, L, w)
+        if found is not None:
+            return found
+    return None
+
+
 @dataclass(frozen=True)
 class CoidealPresentation:
     """A finitely presented coideal of block sequences over a window.
@@ -86,10 +95,7 @@ class CoidealPresentation:
         if self.kind == "all":
             return True
         if self.kind == "top_of":
-            return any(
-                common_condensation(base, A, L, self.window) is not None
-                for base in self.base
-            )
+            return first_common_condensation(self.base, A, L, self.window) is not None
         if self.kind == "mu_over":
             return self.peak_pred(mu(A))
         raise FinkError(f"unknown coideal kind {self.kind!r}")

@@ -64,8 +64,10 @@ class FamilySpec:
 def parse_family(text: str, k: int) -> FamilySpec:
     """Parse the CLI syntax: empty, all_singletons, min_even_first,
     support_ge:2, explicit:FILE (one canonical sequence per line)."""
-    kind, _, param = text.partition(":")
+    kind, colon, param = text.partition(":")
     if kind in ("empty", "all_singletons", "min_even_first"):
+        if colon:
+            raise FinkError(f"family {kind!r} takes no parameter, got {text!r}")
         return FamilySpec(kind)
     if kind == "support_ge":
         return FamilySpec("support_ge", s=int(param))

@@ -31,10 +31,6 @@ from .core import (
 Colorable = Union[FinkElement, BlockSeq]
 
 
-def _support(obj: Colorable) -> tuple[int, ...]:
-    return obj.support()
-
-
 def _value_at(obj: Colorable, pos: int) -> int:
     if isinstance(obj, FinkElement):
         return obj.value_at(pos)
@@ -78,11 +74,14 @@ class ColoringSpec:
         if self.kind == "const":
             return self.param
         if self.kind == "min_mod":
-            return _support(obj)[0] % self.r
+            first = obj if isinstance(obj, FinkElement) else obj.elems[0]
+            return first.min_supp % self.r
         if self.kind == "max_mod":
-            return _support(obj)[-1] % self.r
+            return obj.max_supp % self.r
         if self.kind == "size_mod":
-            return len(_support(obj)) % self.r
+            if isinstance(obj, FinkElement):
+                return len(obj.values) % self.r
+            return sum(len(x.values) for x in obj.elems) % self.r
         if self.kind == "value_at":
             return _value_at(obj, self.param) % self.r
         if self.kind == "table":
@@ -123,10 +122,12 @@ class ColoringSpec:
 
 def parse_coloring(text: str, r: int, arity: int = 1) -> ColoringSpec:
     """Parse the CLI syntax: const:0, min_mod, max_mod, size_mod, value_at:3, table:FILE."""
-    kind, _, param = text.partition(":")
+    kind, colon, param = text.partition(":")
     if kind == "const":
         return ColoringSpec.constant(int(param), r, arity)
     if kind in ("min_mod", "max_mod", "size_mod"):
+        if colon:
+            raise FinkError(f"coloring {kind!r} takes no parameter, got {text!r}")
         return ColoringSpec(arity, r, kind)
     if kind == "value_at":
         return ColoringSpec(arity, r, "value_at", param=int(param))

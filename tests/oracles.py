@@ -76,6 +76,38 @@ def ordered_span(A: BlockSeq) -> list:
     return out
 
 
+def pairwise_restriction_equals(R, S, B: BlockSeq) -> bool:
+    """Do R and S agree on every pair from the span of B, checked pair by pair?
+
+    The span is listed by ordered_span, and every unordered pair, each
+    element with itself included, is compared through the relations' holds.
+    """
+    span = [FinkElement(B.k, values) for values in ordered_span(B)]
+    for a, b in itertools.combinations_with_replacement(span, 2):
+        if R.holds(a, b) != S.holds(a, b):
+            return False
+    return True
+
+
+def _level_ends(elem: FinkElement, i: int):
+    """First and last position where elem takes the value i, None when it never does."""
+    at = [pos for pos, val in elem.values if val == i]
+    return (at[0], at[-1]) if at else (None, None)
+
+
+def relation_by_definition(kind: str, level: int, a: FinkElement, b: FinkElement) -> bool:
+    """Whether a and b are related by a built-in relation, from its definition."""
+    if kind == "equality":
+        return a.values == b.values
+    if kind == "full":
+        return True
+    if kind == "size_parity":
+        return len(a.values) % 2 == len(b.values) % 2
+    ends_a, ends_b = _level_ends(a, level), _level_ends(b, level)
+    pick = {"min_level": slice(0, 1), "max_level": slice(1, 2), "minmax_level": slice(0, 2)}
+    return ends_a[pick[kind]] == ends_b[pick[kind]]
+
+
 def _start(s) -> int:
     return min(p for p, _ in s)
 

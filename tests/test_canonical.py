@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finkit import (
     BlockSeq,
@@ -9,13 +10,15 @@ from finkit import (
     FinkError,
     Window,
     candidate_relations,
+    canonical,
     canonicalize_search,
+    format_element,
     format_seq,
     generators,
     level_stats,
     parse_element,
     parse_relation,
-    relation_holds,
+    parse_seq,
     restriction_equals,
     sequences_over,
     sos_check,
@@ -23,6 +26,8 @@ from finkit import (
     t_count,
     window_elements,
 )
+from oracles import pairwise_restriction_equals, relation_by_definition
+from test_span_engine import block_seqs, window_of
 
 
 def elem(text, k):
@@ -96,10 +101,10 @@ def test_sos_unknown_convention():
 
 
 def test_relation_examples():
-    assert relation_holds(EquivRelSpec("full"), elem("0:1", 1), elem("3:1", 1))
-    assert not relation_holds(EquivRelSpec("equality"), elem("0:1", 1), elem("3:1", 1))
+    assert EquivRelSpec("full").holds(elem("0:1", 1), elem("3:1", 1))
+    assert not EquivRelSpec("equality").holds(elem("0:1", 1), elem("3:1", 1))
     R = EquivRelSpec("min_level", level=1)
-    assert relation_holds(R, elem("0:1,3:1", 1), elem("0:1,5:1", 1))
+    assert R.holds(elem("0:1,3:1", 1), elem("0:1,5:1", 1))
 
 
 def test_builtins_are_equivalences_on_window():
@@ -114,6 +119,20 @@ def test_builtins_are_equivalences_on_window():
         for a, b, c in itertools.permutations(elems[:8], 3):
             if R.holds(a, b) and R.holds(b, c):
                 assert R.holds(a, c)
+
+
+def builtin_relations(k):
+    return [spec for _, spec in candidate_relations(k)] + [EquivRelSpec("size_parity")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_builtin_keys_match_the_definitions(k, data):
+    w = Window(k, 5, 5)
+    elements = st.sampled_from(list(window_elements(w)))
+    a, b = data.draw(elements), data.draw(elements)
+    for R in builtin_relations(k):
+        assert R.holds(a, b) == relation_by_definition(R.kind, R.level, a, b)
 
 
 def test_table_relation_closure_and_fallback():
@@ -141,9 +160,59 @@ def test_restriction_equals_examples():
     assert not restriction_equals(R, S, generators(1, 2), Window(1, 2, 2))
 
 
-def __seq(text):
-    from finkit import parse_seq
+def _table_like(S, span, extra, w):
+    """A table relation that links each span element to the previous member
+    of its S-class, so it agrees with S on the span, plus the extra edges."""
+    edges, last = [], {}
+    for x in span:
+        key = S.key(x)
+        if key in last:
+            edges.append((last[key], format_element(x)))
+        last[key] = format_element(x)
+    return EquivRelSpec.from_pairs(edges + extra, w.k, w)
 
+
+@settings(max_examples=300, deadline=None)
+@given(block_seqs(max_blocks=4), st.data())
+def test_restriction_equals_matches_pairwise_oracle(B, data):
+    # level relations at k >= 2 meet elements that miss their level
+    w = window_of(B)
+    span = span_enumerate(B, w)
+    texts = [format_element(x) for x in span]
+    builtins = builtin_relations(B.k)
+
+    def relation():
+        choice = data.draw(st.integers(0, len(builtins)))
+        if choice < len(builtins):
+            return builtins[choice]
+        S = data.draw(st.sampled_from(builtins))
+        extra = []
+        if texts:
+            edge = st.tuples(st.sampled_from(texts), st.sampled_from(texts))
+            extra = data.draw(st.lists(edge, max_size=2))
+        return _table_like(S, span, extra, w)
+
+    R, S = relation(), relation()
+    assert restriction_equals(R, S, B, w) == pairwise_restriction_equals(R, S, B)
+    assert restriction_equals(R, R, B, w)
+
+
+def test_restriction_equals_with_an_absent_level():
+    # three of the five span elements never take the value 1: min_1 keys
+    # them None and puts them in one class
+    w = Window(2, 3, 3)
+    B = parse_seq("0:2;2:2", 2)
+    min1 = EquivRelSpec("min_level", level=1)
+    minmax1 = EquivRelSpec("minmax_level", level=1)
+    assert [min1.key(x) for x in span_enumerate(B, w)] == [None, None, 2, 0, None]
+    assert restriction_equals(min1, minmax1, B, w)
+    assert not restriction_equals(min1, EquivRelSpec("equality"), B, w)
+    for R in builtin_relations(2):
+        for S in builtin_relations(2):
+            assert restriction_equals(R, S, B, w) == pairwise_restriction_equals(R, S, B)
+
+
+def __seq(text):
     return parse_seq(text, 1)
 
 
@@ -229,6 +298,51 @@ def test_classify_threads_agree():
         if restriction_equals(R, spec, B, w)
     )
     assert canonicalize_search(R, A, 2, w) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_seqs(max_k=2, max_blocks=4), st.integers(1, 3), st.data())
+def test_classify_equals_a_flat_scan_with_the_pairwise_oracle(A, m, data):
+    w = window_of(A)
+    span = span_enumerate(A, w)
+    R = data.draw(st.sampled_from(builtin_relations(A.k)))
+    if span and data.draw(st.booleans()):
+        texts = st.sampled_from([format_element(x) for x in span])
+        R = EquivRelSpec.from_pairs(data.draw(st.lists(st.tuples(texts, texts))), A.k, w)
+    if A.k >= 2:
+        span = [x for x in span if sos_check(x).ok]
+    caveat = canonical.PARTIAL_LIST_CAVEAT if A.k >= 2 else None
+    expected = next(
+        (
+            CanonicalizationResult(name, spec, B, caveat)
+            for B in list(sequences_over(span, BlockSeq(A.k, ()), m))
+            for name, spec in candidate_relations(A.k)
+            if pairwise_restriction_equals(R, spec, B)
+        ),
+        None,
+    )
+    assert canonicalize_search(R, A, m, w) == expected
+
+
+def test_classify_builds_one_span_per_scanned_sequence(monkeypatch):
+    spans, scanned = [], []
+    span_of, scan = canonical.span_enumerate, canonical.sequences_over
+
+    def counting_span(B, w):
+        spans.append(B)
+        return span_of(B, w)
+
+    def counting_scan(*args):
+        for B in scan(*args):
+            scanned.append(B)
+            yield B
+
+    monkeypatch.setattr(canonical, "span_enumerate", counting_span)
+    monkeypatch.setattr(canonical, "sequences_over", counting_scan)
+    A = generators(1, 8)
+    res = canonicalize_search(EquivRelSpec("size_parity"), A, 3, Window(1, 8, 8))
+    assert res.relation == "FIN^2" and len(scanned) > 1
+    assert spans == [A] + scanned
 
 
 # -- the canonical count ---------------------------------------------------------------

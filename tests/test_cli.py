@@ -1,10 +1,12 @@
+import argparse
+import hashlib
 import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
-from finkit import parse_element
-from finkit.cli import render_text, run
+from finkit import parse_element, t_count
+from finkit.cli import TK_MAX_K, _cmd_tk, render_text, run
 
 
 def invoke(argv):
@@ -29,6 +31,37 @@ def test_tk_example():
     assert code == 0 and out.splitlines()[0] == "5"
     code, out, _ = invoke(["tk", "3"])
     assert out.splitlines()[0] == "619"
+
+
+def test_tk_refuses_k_past_the_printable_limit_at_once():
+    start = time.perf_counter()
+    code, out, err = invoke(["tk", "1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: t(1000000000) has more than 4300 digits; k must be at most 858\n"
+    code, _, _ = invoke(["tk", str(TK_MAX_K + 1), "--json"])
+    assert code == 2
+
+
+def test_tk_limit_is_the_last_printable_k():
+    assert t_count(TK_MAX_K) < 10**4300 <= t_count(TK_MAX_K + 1)
+    code, out, _ = invoke(["tk", str(TK_MAX_K)])
+    assert code == 0 and out.endswith(f"k = {TK_MAX_K}\n")
+
+
+def test_tk_text_unchanged_through_850():
+    # sha256 of the concatenated text reports of tk 1..850, as printed by the
+    # factorial-sum implementation this recurrence replaced
+    digest = hashlib.sha256()
+    for k in range(1, 851):
+        report, code = _cmd_tk(argparse.Namespace(k=k))
+        assert code == 0
+        digest.update(render_text(report).encode())
+    assert digest.hexdigest() == (
+        "dfd9c54efbb9928bf39d30a5fcb2c9caf787a0eb8b4e17b3b212ab4ad80e51f8"
+    )
+    report, _ = _cmd_tk(argparse.Namespace(k=850))
+    assert invoke(["tk", "850"])[1] == render_text(report)
 
 
 def test_member_examples():
@@ -188,6 +221,39 @@ def test_usage_and_input_errors():
     assert code == 2 and "error" in err
     code, _, err = invoke(["member", "--k", "2", "0:2", "--in", "0:1;xx"])
     assert code == 2
+
+
+def test_top_member_empty_family(tmp_path):
+    fam = tmp_path / "empty.txt"
+    fam.write_text("# nothing here\n\n")
+    code, out, err = invoke(
+        ["top-member", "--k", "1", "--nmax", "4", "--family", str(fam), "--len", "1", "0:1"]
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: family file {str(fam)!r} lists no sequences\n"
+
+
+def test_relation_parser_rejects_a_parameter_on_a_bare_kind():
+    for relation in ("size_parity:7", "equality:foo", "full:"):
+        argv = ["classify", "--k", "1", "--nmax", "4", "--relation", relation, "--m", "2"]
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        kind = relation.partition(":")[0]
+        assert err == f"error: relation {kind!r} takes no parameter, got {relation!r}\n"
+
+
+def test_coloring_parser_rejects_a_parameter_on_a_bare_kind():
+    argv = ["gowers", "--k", "1", "--nmax", "4", "--coloring", "min_mod:9", "--m", "2"]
+    code, out, err = invoke(argv)
+    assert code == 2 and out == ""
+    assert err == "error: coloring 'min_mod' takes no parameter, got 'min_mod:9'\n"
+
+
+def test_family_parser_rejects_a_parameter_on_a_bare_kind():
+    argv = ["galvin", "--k", "1", "--nmax", "6", "--family", "min_even_first:zz", "--m", "2"]
+    code, out, err = invoke(argv)
+    assert code == 2 and out == ""
+    assert err == "error: family 'min_even_first' takes no parameter, got 'min_even_first:zz'\n"
 
 
 def test_json_text_equivalence():

@@ -13,6 +13,7 @@ from finkit import (
     dense_open_violation,
     diagonal_build,
     diagonalizes_check,
+    first_common_condensation,
     generators,
     initial_segments,
     leq,
@@ -138,6 +139,19 @@ def test_top_closure_upward_closed():
     for A in initial_segments(B, 2, w):
         if coideal.contains(A, L=1):
             assert coideal.contains(B, L=1)
+
+
+def test_top_of_uses_the_first_base_with_a_common_condensation():
+    w = Window(1, 6, 6)
+    B = generators(1, 6)
+    short = seq("5:1", 1)  # one shared element: no common condensation of length 2
+    base = (short, seq("0:1;2:1;4:1", 1), seq("1:1;3:1", 1))
+    got = first_common_condensation(base, B, 2, w)
+    assert got is not None and got == common_condensation(base[1], B, 2, w)
+    assert first_common_condensation((short,), B, 2, w) is None
+    assert first_common_condensation((), B, 2, w) is None
+    assert CoidealPresentation("top_of", w, base=base).contains(B, L=2)
+    assert not CoidealPresentation("top_of", w, base=(short,)).contains(B, L=2)
 
 
 def test_unknown_kind():

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finkit import (
     BlockSeq,
     BudgetExceeded,
     ColoringSpec,
+    FinkElement,
     FinkError,
     Window,
     format_element,
@@ -18,6 +20,7 @@ from finkit import (
     window_elements,
 )
 from oracles import raw_span, raw_sequences, to_elem, to_seq
+from test_span_engine import block_seqs, window_of
 
 
 W4 = Window(1, 4, 4)
@@ -33,6 +36,30 @@ def flat_first_hit(A, m, w, colors_of):
         if len(colors) == 1:
             return B, colors.pop()
     return None, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_seqs(max_blocks=4), st.integers(2, 5), st.integers(0, 14))
+def test_builtin_colors_equal_their_support_definitions(A, r, p):
+    # elements: the span of A; sequences: every nonempty run of A's blocks
+    objs = span_enumerate(A, window_of(A)) + [
+        BlockSeq(A.k, A.elems[i:j])
+        for i in range(len(A))
+        for j in range(i + 1, len(A) + 1)
+    ]
+    for obj in objs:
+        supp = obj.support()
+        elems = [obj] if isinstance(obj, FinkElement) else obj.elems
+        pairs = [pair for x in elems for pair in x.values]
+        expected = {
+            f"const:{r - 1}": r - 1,
+            "min_mod": supp[0] % r,
+            "max_mod": supp[-1] % r,
+            "size_mod": len(supp) % r,
+            f"value_at:{p}": dict(pairs).get(p, 0) % r,
+        }
+        for text, color in expected.items():
+            assert parse_coloring(text, r).color(obj) == color, (text, obj)
 
 
 def test_constant_coloring_returns_truncation():
