@@ -71,6 +71,11 @@ def level_stats(a: FinkElement) -> LevelStats:
     return LevelStats(a.k, tuple(mins), tuple(maxs))
 
 
+def _first_at(pairs, level: int) -> Optional[int]:
+    """The first position among (position, value) pairs with the given value, None if none."""
+    return next((pos for pos, val in pairs if val == level), None)
+
+
 @dataclass(frozen=True)
 class SosResult:
     ok: bool
@@ -147,12 +152,11 @@ class EquivRelSpec:
         if self.kind == "size_parity":
             return len(a.values) % 2
         if self.kind == "min_level":
-            return level_stats(a).min_level(self.level)
+            return _first_at(a.values, self.level)
         if self.kind == "max_level":
-            return level_stats(a).max_level(self.level)
+            return _first_at(reversed(a.values), self.level)
         if self.kind == "minmax_level":
-            st = level_stats(a)
-            return st.min_level(self.level), st.max_level(self.level)
+            return _first_at(a.values, self.level), _first_at(reversed(a.values), self.level)
         if self.kind == "table":
             if self.window is not None and not self.window.contains_element(a):
                 raise FinkError(f"element {a} outside the relation's window")

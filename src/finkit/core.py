@@ -19,6 +19,7 @@ elements for a sequence.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -364,19 +365,50 @@ def leq(A: BlockSeq, B: BlockSeq) -> bool:
     return all(decompose(x, B) is not None for x in A)
 
 
+def successor_starts(candidates: list[FinkElement]) -> list[int]:
+    """Per candidate c, the index of the first candidate that may follow c.
+
+    Precondition: the candidates are in span order, that is, grouped by first
+    block in block order; a sublist of a span_enumerate listing qualifies.
+    Say c ends in block A[t].  A candidate whose first block is A[s], s <= t,
+    starts at or before A[s]'s first peak (tetris images keep the peaks), so
+    not after c, which ends at or after A[t]'s last peak; every candidate from
+    A[t + 1] on starts after c.  So the index is where the suffix minima of
+    min_supp first exceed c.max_supp.
+    """
+    lowest = list(itertools.accumulate((c.min_supp for c in reversed(candidates)), min))
+    lowest.reverse()
+    # one bisection, and one int object, per distinct end
+    start = {end: bisect.bisect_right(lowest, end) for end in {c.max_supp for c in candidates}}
+    return [start[c.max_supp] for c in candidates]
+
+
+def first_picks(candidates: list[FinkElement], stem: BlockSeq) -> list[int]:
+    """Indices of the candidates that start after stem ends: the first level
+    of a block-ordered walk from stem, which need not lie in their span."""
+    floor = stem.max_supp
+    return [i for i, c in enumerate(candidates) if c.min_supp > floor]
+
+
 def sequences_over(candidates: list[FinkElement], stem: BlockSeq, n: int):
     """DFS over block-ordered picks from candidates, extending stem to length n.
 
-    Candidates are tried in list order at every level, so the output is
-    lexicographic with respect to that order.
+    Candidates must be in span order (see successor_starts).  They are tried
+    in list order at every level, so the output is lexicographic with respect
+    to that order.
     """
-    if len(stem) == n:
-        yield stem
-        return
-    floor = stem.max_supp
-    for c in candidates:
-        if c.min_supp > floor:
-            yield from sequences_over(candidates, stem.extend(c), n)
+    if n < len(stem):
+        raise FinkError(f"target length {n} below stem length {len(stem)}")
+    after = successor_starts(candidates)
+
+    def extend(elems, picks):
+        if len(elems) == n:
+            yield BlockSeq(stem.k, elems)
+            return
+        for i in picks:
+            yield from extend(elems + (candidates[i],), range(after[i], len(candidates)))
+
+    yield from extend(stem.elems, first_picks(candidates, stem))
 
 
 def initial_segments(A: BlockSeq, n: int, w: Window) -> list[BlockSeq]:

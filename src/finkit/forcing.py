@@ -21,11 +21,13 @@ from .core import (
     IncompatibleStem,
     Window,
     decompose,
+    first_picks,
     format_seq,
     parse_seq,
     read_lines,
     sequences_over,
     span_enumerate,
+    successor_starts,
 )
 
 
@@ -112,24 +114,22 @@ def _accepts(B: BlockSeq, a: BlockSeq, F: FamilySpec, w: Window) -> AcceptsResul
         if F.contains(a.prefix(t)):
             return AcceptsResult(True, None)
     candidates = span_enumerate(B, w)
+    after = successor_starts(candidates)
 
-    def walk(node: BlockSeq) -> Optional[BlockSeq]:
+    def walk(node: BlockSeq, picks) -> Optional[BlockSeq]:
         extended = False
         if len(node) < w.len_max:
-            floor = node.max_supp
-            for c in candidates:
-                if c.min_supp <= floor:
-                    continue
+            for i in picks:
                 extended = True
-                child = node.extend(c)
+                child = node.extend(candidates[i])
                 if F.contains(child):
                     continue  # every branch through child is already met
-                bad = walk(child)
+                bad = walk(child, range(after[i], len(candidates)))
                 if bad is not None:
                     return bad
         return None if extended else node
 
-    bad = walk(a)
+    bad = walk(a, first_picks(candidates, a))
     return AcceptsResult(bad is None, bad)
 
 
@@ -144,9 +144,16 @@ def accepts(B: BlockSeq, a: BlockSeq, F: FamilySpec, w: Window) -> AcceptsResult
     return _accepts(B, a, F, w)
 
 
+def _require_min_len(min_len: int, w: Window) -> None:
+    if not 1 <= min_len <= w.len_max:
+        raise FinkError(f"condensation length floor {min_len} outside 1..{w.len_max}")
+
+
 def condensations(B: BlockSeq, w: Window, min_len: int = 1):
-    """All block sequences over [B] inside the window, shortest first, then
-    lexicographic in span order."""
+    """All block sequences over [B] inside the window of length at least
+    min_len (1 <= min_len <= len_max), shortest first, then lexicographic in
+    span order."""
+    _require_min_len(min_len, w)
     candidates = span_enumerate(B, w)
     empty = BlockSeq(B.k, ())
     for L in range(min_len, w.len_max + 1):
@@ -162,7 +169,8 @@ def rejects(
 ) -> RejectsResult:
     """Does no windowed condensation of B (compatible with a) accept a?
 
-    On failure the result carries the first accepting condensation.
+    Condensations shorter than min_len (1 <= min_len <= len_max) are not
+    tried.  On failure the result carries the first accepting condensation.
     """
     if len(a):
         _require_stem(B, a)
@@ -183,6 +191,7 @@ def decides(
     min_len: int = 1,
 ) -> ForcingVerdict:
     """Run accepts, then rejects; report the first that holds, else undecided."""
+    _require_min_len(min_len, w)
     acc = accepts(B, a, F, w)
     if acc.holds:
         return ForcingVerdict("accepts")
@@ -199,19 +208,17 @@ def _avoids_family(B: BlockSeq, a: BlockSeq, F: FamilySpec, w: Window) -> bool:
         if F.contains(a.prefix(t)):
             return False
     candidates = span_enumerate(B, w)
-    stack = [a]
+    after = successor_starts(candidates)
+    stack = [(a, first_picks(candidates, a))]
     while stack:
-        node = stack.pop()
+        node, picks = stack.pop()
         if len(node) >= w.len_max:
             continue
-        floor = node.max_supp
-        for c in candidates:
-            if c.min_supp <= floor:
-                continue
-            child = node.extend(c)
+        for i in picks:
+            child = node.extend(candidates[i])
             if F.contains(child):
                 return False
-            stack.append(child)
+            stack.append((child, range(after[i], len(candidates))))
     return True
 
 

@@ -8,6 +8,7 @@ miss only means the window was too small, never a refutation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -23,8 +24,8 @@ from .core import (
     generators,
     initial_segments,
     read_lines,
-    sequences_over,
     span_enumerate,
+    successor_starts,
     window_elements,
 )
 
@@ -148,23 +149,51 @@ class SearchReport:
     nodes_explored: int
 
 
-def _successor_starts(candidates: list[FinkElement], A: BlockSeq) -> list[int]:
-    """Per span candidate c, where the candidates that may follow c begin.
+def _heads(layers, limit: int, length: int):
+    """The block sequences of a given length, as tuples, over the elements in
+    layers[:limit]: per pick, the (element, picks ending before it) pairs it added."""
+    if length == 0:
+        yield ()
+        return
+    for layer in layers[:limit]:
+        for y, before in layer:
+            for head in _heads(layers, before, length - 1):
+                yield head + (y,)
 
-    span_enumerate lists [A] grouped by first block, in block order.  If c's
-    last block is A[t], a candidate whose first block is A[s] with s <= t
-    cannot start after c: for s < t it starts inside A[s], and for s = t both
-    images keep A[t]'s peaks, so it starts at or before the first peak and c
-    ends at or after the last one.  Every candidate from A[t + 1] on starts
-    after c.  So the next pick starts at the first candidate of A[t + 1].
-    """
-    block_of = {pos: i for i, x in enumerate(A.elems) for pos, _ in x.values}
-    first = [len(candidates)] * (len(A) + 1)
-    for idx in range(len(candidates) - 1, -1, -1):
-        first[block_of[candidates[idx].min_supp]] = idx
-    for i in range(len(A) - 1, -1, -1):
-        first[i] = min(first[i], first[i + 1])
-    return [first[block_of[c.max_supp] + 1] for c in candidates]
+
+def _first_monochromatic(f: ColoringSpec, k: int, m: int, candidates: list, state, extend):
+    """The search of gowers_search and ramsey2_search: depth-first over picks
+    from span-ordered candidates, pruning a partial B as soon as the objects
+    its picks added carry two colors.  extend(state, pick) returns the state
+    with pick appended and the objects to color that the pick adds."""
+    after = successor_starts(candidates)
+    nodes = 0
+
+    def grow(picks, start, state, color):
+        nonlocal nodes
+        if len(picks) == m:
+            return picks, color
+        for idx in range(start, len(candidates)):
+            nodes += 1
+            pick = candidates[idx]
+            nxt, added = extend(state, pick)
+            col = color
+            for obj in added:
+                c = f.color(obj)
+                if col is None:
+                    col = c
+                elif c != col:
+                    break
+            else:
+                hit = grow(picks + (pick,), after[idx], nxt, col)
+                if hit is not None:
+                    return hit
+        return None
+
+    hit = grow((), 0, state, None)
+    if hit is None:
+        return SearchReport(False, None, None, nodes)
+    return SearchReport(True, BlockSeq(k, hit[0]), hit[1], nodes)
 
 
 def gowers_search(
@@ -184,42 +213,7 @@ def gowers_search(
         raise FinkError(f"target length {m} outside 1..{w.len_max}")
     f.check_total(w)
     candidates = span_enumerate(A, w) if span is None else span
-    after = _successor_starts(candidates, A)
-    k = A.k
-
-    def grow(blocks, start, state, color, target_nodes):
-        # returns (witness blocks, color) or None; target_nodes is a 1-cell counter
-        if len(blocks) == m:
-            return blocks, color
-        floor = blocks[-1].max_supp if blocks else -1
-        for idx in range(start, len(candidates)):
-            c = candidates[idx]
-            if c.min_supp <= floor:
-                continue
-            target_nodes[0] += 1
-            nxt, fresh = state.extend(c)
-            col = color
-            ok = True
-            for x in fresh:
-                cx = f.color(x)
-                if col is None:
-                    col = cx
-                elif cx != col:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            hit = grow(blocks + [c], after[idx], nxt, col, target_nodes)
-            if hit is not None:
-                return hit
-        return None
-
-    nodes = [0]
-    hit = grow([], 0, SpanState(k), None, nodes)
-    if hit is None:
-        return SearchReport(False, None, None, nodes[0])
-    blocks, color = hit
-    return SearchReport(True, BlockSeq(k, tuple(blocks)), color, nodes[0])
+    return _first_monochromatic(f, A.k, m, candidates, SpanState(A.k), SpanState.extend)
 
 
 def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchReport:
@@ -233,44 +227,20 @@ def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRep
     if m > w.len_max:
         raise FinkError(f"target length {m} exceeds window len_max={w.len_max}")
     f.check_total(w)
-    candidates = span_enumerate(A, w)
-    after = _successor_starts(candidates, A)
     k = A.k
-    empty = BlockSeq(k, ())
 
-    def colors_of(span_list):
-        seen = set()
-        for seq in sequences_over(span_list, empty, n):
-            seen.add(f.color(seq))
-            if len(seen) > 1:
-                return seen
-        return seen
+    def extend(state, pick):
+        # A sequence that uses an element the pick adds ends with it; its other
+        # terms lie in the span of the picks that end before that element starts.
+        span, layers, ends = state
+        span, fresh = span.extend(pick)
+        layer = [(x, bisect_left(ends, x.min_supp)) for x in fresh]
+        added = (
+            BlockSeq(k, head + (x,)) for x, before in layer for head in _heads(layers, before, n - 1)
+        )
+        return (span, layers + (layer,), ends + (pick.max_supp,)), added
 
-    def grow(blocks, start, state, span_list, target_nodes):
-        if len(blocks) == m:
-            color = f.color(BlockSeq(k, tuple(blocks[:n])))
-            return blocks, color
-        floor = blocks[-1].max_supp if blocks else -1
-        for idx in range(start, len(candidates)):
-            c = candidates[idx]
-            if c.min_supp <= floor:
-                continue
-            target_nodes[0] += 1
-            nxt, fresh = state.extend(c)
-            grown = span_list + fresh
-            if len(colors_of(grown)) > 1:
-                continue
-            hit = grow(blocks + [c], after[idx], nxt, grown, target_nodes)
-            if hit is not None:
-                return hit
-        return None
-
-    nodes = [0]
-    hit = grow([], 0, SpanState(k), [], nodes)
-    if hit is None:
-        return SearchReport(False, None, None, nodes[0])
-    blocks, color = hit
-    return SearchReport(True, BlockSeq(k, tuple(blocks)), color, nodes[0])
+    return _first_monochromatic(f, k, m, span_enumerate(A, w), (SpanState(k), (), ()), extend)
 
 
 @dataclass(frozen=True)

@@ -68,22 +68,46 @@ def theta_inv(p: FinkElement, delta: Fraction) -> NetFunction:
     )
 
 
+# k_for_epsilon refuses an epsilon whose exact comparison would need a power
+# of more than this many bits: 1/3679 is answered, 1/3680 is refused.
+KFOR_MAX_BITS = 2**20
+
+
 def k_for_epsilon(epsilon: Fraction) -> tuple[int, Fraction]:
     """delta = epsilon/2 and the least k with (1+delta)^(k-1) > 1/delta.
 
-    Exact rational comparison throughout; epsilon must be positive.
+    With delta = p/q in lowest terms the test is p * (p+q)^(k-1) > q^k, an
+    exact integer comparison that only turns from false to true as k grows.
+    Galloping over k = 2, 3, 5, 9, ... (squaring the powers) brackets the
+    least k, and bisection by the same powers pins it down.  An epsilon whose
+    galloping would build a power of more than KFOR_MAX_BITS bits is refused
+    before that power is built.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise FinkError(f"epsilon must be positive, got {epsilon}")
     delta = epsilon / 2
-    threshold = 1 / delta
-    k = 1
-    power = Fraction(1)  # (1+delta)^(k-1)
-    while power <= threshold:
-        k += 1
-        power *= 1 + delta
-    return k, delta
+    p, q = delta.numerator, delta.denominator
+
+    def holds(a: int, b: int) -> bool:  # a = (p+q)^e, b = q^e: is k = e + 1 enough?
+        return p * a > q * b
+
+    if holds(1, 1):
+        return 1, delta
+    # steps[i] = ((p+q)^(2^i), q^(2^i)); galloping stops at the first e = 2^i that holds
+    steps = [(p + q, q)]
+    while not holds(*steps[-1]):
+        a, b = steps[-1]
+        if 2 * a.bit_length() > KFOR_MAX_BITS:
+            raise FinkError(f"epsilon {epsilon} needs powers past the bound of {KFOR_MAX_BITS} bits")
+        steps.append((a * a, b * b))
+    # bisection keeps e failing and e + 2^(i+1) holding; at the end e + 1 is the least e that holds
+    e, a, b = 0, 1, 1
+    for i in range(len(steps) - 2, -1, -1):
+        a2, b2 = a * steps[i][0], b * steps[i][1]
+        if not holds(a2, b2):
+            e, a, b = e + 2**i, a2, b2
+    return e + 2, delta
 
 
 def parse_net_function(text: str, k: int, delta: Fraction) -> NetFunction:

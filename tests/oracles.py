@@ -6,6 +6,7 @@ with the library paths it is used to check.
 """
 
 import itertools
+from fractions import Fraction
 
 from finkit import BlockSeq, FinkElement
 
@@ -74,6 +75,23 @@ def ordered_span(A: BlockSeq) -> list:
                         merged[pos] = val - j
             out.append(tuple(sorted(merged.items())))
     return out
+
+
+def block_successor_starts(candidates, A: BlockSeq) -> list:
+    """Per span candidate c, where the candidates that may follow c begin,
+    found through A's blocks.
+
+    The candidates are grouped by first block, in block order.  If c's last
+    block is A[t], the next pick starts at the first candidate whose first
+    block is A[t + 1] or later (len(candidates) when there is none).
+    """
+    block_of = {pos: i for i, x in enumerate(A.elems) for pos, _ in x.values}
+    first = [len(candidates)] * (len(A) + 1)
+    for idx in range(len(candidates) - 1, -1, -1):
+        first[block_of[candidates[idx].min_supp]] = idx
+    for i in range(len(A) - 1, -1, -1):
+        first[i] = min(first[i], first[i + 1])
+    return [first[block_of[c.max_supp] + 1] for c in candidates]
 
 
 def pairwise_restriction_equals(R, S, B: BlockSeq) -> bool:
@@ -179,3 +197,15 @@ def raw_maximal_branches(span_raws, stem, len_max: int):
 
     rec(tuple(stem))
     return out
+
+
+def k_for_epsilon_by_loop(epsilon: Fraction):
+    """delta = epsilon/2 and the least k with (1+delta)^(k-1) > 1/delta,
+    found by multiplying Fractions once per k."""
+    delta = Fraction(epsilon) / 2
+    k = 1
+    power = Fraction(1)  # (1+delta)^(k-1)
+    while power <= 1 / delta:
+        k += 1
+        power *= 1 + delta
+    return k, delta

@@ -142,6 +142,32 @@ def test_forcing_statuses(tmp_path):
     assert code == 1 and 'status = "undecided"' in out
 
 
+def test_forcing_min_len_outside_the_window_exits_2():
+    base = ["forcing", "--k", "1", "--nmax", "8", "--family", "empty"]
+    seq = ";".join(f"{i}:1" for i in range(8))
+    code, out, err = invoke(base + ["--min-len", "-3", seq])
+    assert code == 2 and out == ""
+    assert err == "error: condensation length floor -3 outside 1..8\n"
+    code, out, err = invoke(base + ["--min-len", "99", seq])
+    assert code == 2 and out == ""
+    assert err == "error: condensation length floor 99 outside 1..8\n"
+
+
+def test_kfor_small_epsilon_is_fast_and_unchanged():
+    start = time.perf_counter()
+    code, out, _ = invoke(["kfor", "1/2000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == "k=33182 delta=1/4000\nepsilon = 1/2000\n"
+
+
+def test_kfor_refuses_past_the_power_bound_at_once():
+    start = time.perf_counter()
+    code, out, err = invoke(["kfor", "1/1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: epsilon 1/1000000000 needs powers past the bound of 1048576 bits\n"
+
+
 def test_galvin_and_classify():
     code, out, _ = invoke(
         ["galvin", "--k", "1", "--nmax", "8", "--family", "min_even_first", "--m", "3"]

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finkit import (
     BlockSeq,
     FinkElement,
+    FinkError,
     InvalidElement,
     InvalidSequence,
     ParseError,
@@ -24,12 +26,14 @@ from finkit import (
     recompose,
     seq_from_json,
     seq_to_json,
+    sequences_over,
     span_enumerate,
     tetris,
     validate_element,
     window_elements,
 )
-from oracles import raw, raw_span
+from oracles import raw, raw_sequences, raw_span, to_elem, to_seq
+from test_span_engine import block_seqs, window_of
 
 
 def elem(text, k):
@@ -345,3 +349,68 @@ def test_sequence_enumeration_matches_raw_oracle():
         lib = {tuple(frozenset(x.values) for x in s) for s in initial_segments(A, n, w)}
         ora = set(raw_sequences(raw_span(A), n))
         assert lib == ora
+
+
+def test_sequences_over_refuses_a_target_below_the_stem():
+    A = generators(1, 4)
+    w = Window(1, 4, 4)
+    stem = seq("0:1;1:1", 1)
+    with pytest.raises(FinkError, match="target length 1 below stem length 2"):
+        list(sequences_over(span_enumerate(A, w), stem, 1))
+    with pytest.raises(FinkError):
+        list(sequences_over(span_enumerate(A, w), BlockSeq(1, ()), -3))
+
+
+# -- properties on random block sequences, against the raw references -----------------
+
+
+@st.composite
+def elements_near(draw, A: BlockSeq):
+    """An element of [A] or a random element of A's window at level k."""
+    w = window_of(A)
+    span = sorted(raw_span(A), key=sorted)
+    if span and draw(st.booleans()):
+        return to_elem(draw(st.sampled_from(span)), A.k)
+    positions = draw(st.lists(st.integers(0, w.n_max - 1), min_size=1, max_size=4, unique=True))
+    vals = [draw(st.integers(1, A.k)) for _ in positions]
+    vals[draw(st.integers(0, len(vals) - 1))] = A.k
+    return FinkElement(A.k, tuple(sorted(zip(positions, vals))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_seqs(max_blocks=5), st.data())
+def test_decompose_recompose_round_trip(A, data):
+    x = data.draw(elements_near(A))
+    d = decompose(x, A)
+    assert (d is not None) == (raw(x) in raw_span(A))
+    if d is not None:
+        assert recompose(d, A) == x
+
+
+def below(data, A: BlockSeq) -> BlockSeq:
+    """A block sequence of one to three elements drawn from the span of A."""
+    pool = [s for n in (1, 2, 3) for s in raw_sequences(raw_span(A), n)]
+    return to_seq(data.draw(st.sampled_from(pool)), A.k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_seqs(max_k=2, max_blocks=4), st.data())
+def test_leq_is_transitive(A, data):
+    if len(A) == 0:
+        return
+    B = below(data, A)
+    C = below(data, B)
+    assert leq(B, A) and leq(C, B)
+    assert leq(C, A)
+    assert leq(A, C) == all(raw(x) in raw_span(C) for x in A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_seqs(max_blocks=3), st.data())
+def test_tetris_keeps_peaks(A, data):
+    x = data.draw(elements_near(A))
+    for j in range(x.k):
+        y = tetris(x, j)
+        assert y.k == x.k - j and y.peaks() == x.peaks()
+        assert y.values == tuple((p, v - j) for p, v in x.values if v > j)
+    assert tetris(x, x.k) is None

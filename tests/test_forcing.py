@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finkit import (
     BlockSeq,
     DichotomyResult,
     EquivRelSpec,
     FamilySpec,
+    FinkError,
     IncompatibleStem,
     RejectsResult,
     Window,
@@ -24,12 +26,15 @@ from finkit import (
 )
 from finkit import canonical, forcing
 from oracles import (
+    ordered_span,
+    raw,
     raw_all_sequences,
     raw_extensions,
     raw_maximal_branches,
     raw_span,
     to_seq,
 )
+from test_span_engine import block_seqs, raw_seq, stems, window_of
 
 W4 = Window(1, 4, 4)
 G4 = generators(1, 4)
@@ -134,6 +139,17 @@ def test_rejects_bruteforce_agreement():
                 break
         got = rejects(G4, EMPTY, F, W4)
         assert got.holds == (oracle_accepting is None)
+
+
+def test_min_len_outside_one_to_len_max_is_refused():
+    for bad in (-3, 0, 5):
+        with pytest.raises(FinkError, match=f"length floor {bad} outside 1..4"):
+            list(condensations(G4, W4, bad))
+        with pytest.raises(FinkError):
+            rejects(G4, EMPTY, F_EMPTY, W4, min_len=bad)
+        with pytest.raises(FinkError):
+            decides(G4, EMPTY, F_SING, W4, min_len=bad)
+    assert not rejects(G4, EMPTY, F_SING, W4, min_len=4).holds
 
 
 def test_decides_statuses():
@@ -332,3 +348,66 @@ def test_forcing_at_level_two():
         assert any(
             family_on_raw(F_GE2, branch[:t], k=2) for t in range(1, len(branch) + 1)
         )
+
+
+# -- the tree walks against the raw branch references ------------------------------
+
+
+def families(data, A):
+    """A built-in family, or an explicit one: a single block sequence of one or
+    two elements from [A], or every third of them."""
+    pool = list(raw_all_sequences(raw_span(A), 2))[1:]
+    one = FamilySpec.explicit([to_seq(data.draw(st.sampled_from(pool)), A.k)])
+    third = FamilySpec.explicit(to_seq(s, A.k) for s in pool[::3])
+    return data.draw(st.sampled_from([F_EMPTY, F_SING, F_EVEN, F_GE2, one, third]))
+
+
+def meets(F, branch, k):
+    return any(family_on_raw(F, branch[:t], k) for t in range(len(branch) + 1))
+
+
+def flat_sequences(items, n, floor=-1):
+    """Block-ordered picks from items in list order, rescanning every level."""
+    if n == 0:
+        yield ()
+        return
+    for s in items:
+        if min(p for p, _ in s) > floor:
+            for rest in flat_sequences(items, n - 1, max(p for p, _ in s)):
+                yield (s,) + rest
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_seqs(max_blocks=4), st.data())
+def test_accepts_and_galvin_equal_the_raw_branch_references(A, data):
+    if len(A) == 0:
+        return
+    w = window_of(A, len_max=3)
+    F = families(data, A)
+    a = data.draw(stems(A, w))
+    stem = raw_seq(a)
+    branches = raw_maximal_branches(raw_span(A), stem, w.len_max)
+    if all(raw(x) in raw_span(A) for x in a):
+        got = accepts(A, a, F, w)
+    else:
+        with pytest.raises(IncompatibleStem):
+            accepts(A, a, F, w)
+        got = forcing._accepts(A, a, F, w)  # the stems galvin passes need not lie in [A]
+    assert got.holds == all(meets(F, b, A.k) for b in branches)
+    if not got.holds:
+        assert raw_seq(got.branch) in branches and not meets(F, raw_seq(got.branch), A.k)
+    extensions = [stem] + raw_extensions(raw_span(A), stem, w.len_max)
+    assert forcing._avoids_family(A, a, F, w) == (not any(meets(F, e, A.k) for e in extensions))
+
+    m = data.draw(st.integers(1, min(2, len(A))))
+    expected = DichotomyResult(None, None)
+    for picks in flat_sequences([frozenset(v) for v in ordered_span(A)], m):
+        B = to_seq(picks, A.k)
+        raws = raw_span(B)
+        if not any(meets(F, e, A.k) for e in [stem] + raw_extensions(raws, stem, w.len_max)):
+            expected = DichotomyResult(1, B)
+            break
+        if all(meets(F, b, A.k) for b in raw_maximal_branches(raws, stem, w.len_max)):
+            expected = DichotomyResult(2, B)
+            break
+    assert galvin_dichotomy(A, a, F, m, w) == expected

@@ -15,6 +15,8 @@ from finkit import (
     theta_inv,
     window_elements,
 )
+from finkit.net import KFOR_MAX_BITS
+from oracles import k_for_epsilon_by_loop
 
 HALF = Fraction(1, 2)
 
@@ -81,6 +83,21 @@ def test_k_for_epsilon_minimality():
         assert (1 + delta) ** (k - 1) > 1 / delta
         if k >= 2:
             assert (1 + delta) ** (k - 2) <= 1 / delta
+
+
+def test_k_for_epsilon_equals_the_loop():
+    epsilons = {Fraction(a, b) for a in range(1, 30) for b in range(1, 60)}
+    epsilons |= {Fraction(1, 200), Fraction(1, 400), Fraction(7, 1000)}
+    for eps in sorted(epsilons):
+        assert k_for_epsilon(eps) == k_for_epsilon_by_loop(eps)
+
+
+def test_k_for_epsilon_refuses_past_the_power_bound():
+    assert KFOR_MAX_BITS == 2**20
+    assert k_for_epsilon(Fraction(1, 3679))[0] > 1
+    for eps in (Fraction(1, 3680), Fraction(1, 10**9), Fraction(1, 10**60)):
+        with pytest.raises(FinkError, match=f"past the bound of {KFOR_MAX_BITS} bits"):
+            k_for_epsilon(eps)
 
 
 def test_parse_and_format():

@@ -1,4 +1,5 @@
-"""Every benchmark query at seed 0 prints the bytes pinned in perfbench/pins.json.
+"""Every benchmark query at seed 0, and at the held-out seed 1, prints the bytes
+pinned in perfbench/pins.json.
 
 The pins are the (exit code, sha256 of stdout) of each query of each
 workload; checking them here makes byte-identical output part of the test
@@ -32,10 +33,9 @@ workloads = _load_workloads()
 PINS = json.loads((PERFBENCH / "pins.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_seed0_outputs_match_pins(workload, tmp_path, monkeypatch):
-    files, queries = workloads.build(workload, 0)
-    pin = PINS[workload]["0"]
+def check_pins(workload, seed, tmp_path, monkeypatch):
+    files, queries = workloads.build(workload, seed)
+    pin = PINS[workload][str(seed)]
     inputs = json.dumps([sorted(files.items()), queries])
     assert hashlib.sha256(inputs.encode("utf-8")).hexdigest() == pin["inputs"]
     for name, text in files.items():
@@ -48,3 +48,13 @@ def test_seed0_outputs_match_pins(workload, tmp_path, monkeypatch):
             code = run(argv)
         got.append([code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()])
     assert got == pin["outputs"]
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_seed0_outputs_match_pins(workload, tmp_path, monkeypatch):
+    check_pins(workload, 0, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_seed1_outputs_match_pins(workload, tmp_path, monkeypatch):
+    check_pins(workload, 1, tmp_path, monkeypatch)

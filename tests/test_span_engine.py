@@ -1,5 +1,5 @@
-"""The prefix-sharing span engine and the successor skip of the Gowers searches,
-checked against references that list and scan everything."""
+"""The prefix-sharing span engine and the successor index of the block-ordered
+walks, checked against references that list and scan everything."""
 
 import random
 
@@ -14,13 +14,25 @@ from finkit import (
     generators,
     gowers_search,
     initial_segments,
+    neighborhood,
     parse_seq,
     ramsey2_search,
+    sequences_over,
     span_enumerate,
     window_elements,
 )
-from finkit.gowers import _successor_starts
-from oracles import ordered_span, raw, raw_sequences, raw_span, to_elem, to_seq
+from finkit.canonical import sos_check
+from finkit.core import successor_starts
+from oracles import (
+    block_successor_starts,
+    ordered_span,
+    raw,
+    raw_extensions,
+    raw_sequences,
+    raw_span,
+    to_elem,
+    to_seq,
+)
 
 
 @st.composite
@@ -59,7 +71,7 @@ def test_span_equals_ordered_reference(A):
 @given(block_seqs())
 def test_successor_start_skips_only_unusable_candidates(A):
     span = span_enumerate(A, window_of(A))
-    starts = _successor_starts(span, A)
+    starts = successor_starts(span)
     # latest start among span[:i] and earliest start among span[i:]
     latest, earliest = [-1], [float("inf")]
     for d in span:
@@ -70,6 +82,54 @@ def test_successor_start_skips_only_unusable_candidates(A):
     for c, start in zip(span, starts):
         # nothing before the start could follow c; everything from it on can
         assert latest[start] <= c.max_supp < earliest[start]
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_seqs())
+def test_successor_starts_equal_the_block_reference(A):
+    # computed from the candidates alone, on spans and on staircase sublists
+    span = span_enumerate(A, window_of(A))
+    assert successor_starts(span) == block_successor_starts(span, A)
+    sos = [x for x in span if sos_check(x).ok]
+    assert successor_starts(sos) == block_successor_starts(sos, A)
+
+
+@st.composite
+def stems(draw, A: BlockSeq, w: Window):
+    """A block sequence of at most two elements, either drawn from the span
+    of A or a single unit peak anywhere in the window, which need not lie in
+    the span and may end inside one of A's blocks."""
+    if draw(st.booleans()):
+        return BlockSeq(A.k, (FinkElement(A.k, ((draw(st.integers(0, w.n_max - 1)), A.k),)),))
+    length = draw(st.integers(0, 2))
+    pool = list(raw_sequences(raw_span(A), length))
+    return to_seq(draw(st.sampled_from(pool)), A.k) if pool else BlockSeq(A.k, ())
+
+
+def raw_seq(s: BlockSeq) -> tuple:
+    return tuple(raw(x) for x in s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_seqs(max_blocks=4), st.data())
+def test_walks_equal_the_raw_references(A, data):
+    w = window_of(A, len_max=3)
+    span = span_enumerate(A, w)
+    position = {x.values: i for i, x in enumerate(span)}
+    raws = raw_span(A)
+    for n in range(w.len_max + 1):
+        got = [raw_seq(s) for s in sequences_over(span, BlockSeq(A.k, ()), n)]
+        assert sorted(got, key=repr) == sorted(raw_sequences(raws, n), key=repr)
+    a = data.draw(stems(A, w))
+    extensions = raw_extensions(raws, raw_seq(a), w.len_max)
+    for n in range(len(a), w.len_max + 1):
+        got = neighborhood(a, A, n, w)
+        assert all(s.prefix(len(a)) == a for s in got)
+        expected = [raw_seq(a)] if n == len(a) else [e for e in extensions if len(e) == n]
+        assert sorted(map(raw_seq, got), key=repr) == sorted(expected, key=repr)
+        # lexicographic in span order, so no sequence comes twice
+        picks = [tuple(position[x.values] for x in s.elems[len(a) :]) for s in got]
+        assert picks == sorted(set(picks))
 
 
 # -- the searches against a flat DFS that scans the whole span at every level ----
