@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import canonical, coideals, forcing, gowers, net
 from .core import (
@@ -40,20 +41,84 @@ EXIT_USAGE = 2
 
 # Python prints an int of at most 4300 digits; t(858) has 4297, t(859) has 4303.
 TK_MAX_K = 858
+# span lists every element it finds; a larger span is refused before it is built.
+SPAN_MAX_ELEMENTS = 2**20
+# Fraction("1e-999999999") would build 10^999999999 before any check could run;
+# 10^4299 has 4300 digits, the most Python prints.
+RATIONAL_MAX_EXPONENT = 4299
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-def _add_window(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, required=True, help="level bound k >= 1")
-    p.add_argument("--nmax", type=int, required=True, help="positions live in [0, nmax)")
-    p.add_argument("--lenmax", type=int, default=None, help="sequence length cap (default: nmax)")
+# -- the command table --------------------------------------------------------
+# One entry per subcommand, in help order: its help line, the (flags, kwargs)
+# of each add_argument call in order, and the handler that turns the parsed
+# Namespace into (report, exit code).  @_command registers an entry.
 
 
-def _add_search(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
+class _Command(NamedTuple):
+    help: str
+    args: tuple
+    handler: Callable
 
 
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+_COMMANDS: dict[str, _Command] = {}
+
+
+def _arg(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+def _command(name: str, summary: str, *args: tuple):
+    def register(handler):
+        _COMMANDS[name] = _Command(summary, args, handler)
+        return handler
+
+    return register
+
+
+_K = _arg("--k", type=int, required=True)
+_JSON = _arg("--json", action="store_true", help="machine-readable output")
+_THREADS = _arg("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
+_WINDOW = (
+    _arg("--k", type=int, required=True, help="level bound k >= 1"),
+    _arg("--nmax", type=int, required=True, help="positions live in [0, nmax)"),
+    _arg("--lenmax", type=int, default=None, help="sequence length cap (default: nmax)"),
+)
+_SEARCH = (*_WINDOW, _THREADS, _JSON)
+_SEQ_OPT = _arg("seq", nargs="?", default=None)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The finkit parser.  For a known command only its subparser is built;
+    otherwise (no arguments, --help, an unknown name) every one is."""
+    top = argparse.ArgumentParser(prog="finkit", description=__doc__)
+    if command in _COMMANDS:
+        # argparse spells the command list in the top-level usage from the
+        # subparsers it holds, so name every command here.  With all of them
+        # built the metavar stays unset, because it would also replace
+        # "command" in "the following arguments are required: command".
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        entry = _COMMANDS[name]
+        p = sub.add_parser(name, help=entry.help)
+        for flags, kwargs in entry.args:
+            p.add_argument(*flags, **kwargs)
+    return top
+
+
+def _rational(name: str, text: str) -> Fraction:
+    """A rational argument such as 3/4, 0.5 or 1e-3.  A zero denominator, or an
+    exponent past RATIONAL_MAX_EXPONENT, is an input error."""
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > RATIONAL_MAX_EXPONENT:
+        raise FinkError(f"{name} {text!r} has an exponent beyond {RATIONAL_MAX_EXPONENT}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise FinkError(f"{name} {text!r} has a zero denominator") from None
 
 
 def _window(args) -> Window:
@@ -66,7 +131,7 @@ def _window_dict(w: Window) -> dict:
 
 
 def _ambient(args, w: Window) -> BlockSeq:
-    if getattr(args, "seq", None):
+    if args.seq:
         return parse_seq(args.seq, w.k)
     return generators(w.k, w.n_max)
 
@@ -75,144 +140,26 @@ def _seq_or_none(b: Optional[BlockSeq]) -> Optional[str]:
     return None if b is None else format_seq(b)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="finkit", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("span", help="enumerate the span of a block sequence")
-    _add_window(p)
-    _add_output(p)
-    p.add_argument("seq", help="block sequence, e.g. '0:1;1:1'")
-
-    p = sub.add_parser("member", help="decompose an element over a block sequence")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--in", dest="seq", required=True, help="ambient block sequence")
-    _add_output(p)
-    p.add_argument("element")
-
-    p = sub.add_parser("tetris", help="apply the decrement operation")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, default=1, help="iterations (default 1)")
-    _add_output(p)
-    p.add_argument("element")
-
-    p = sub.add_parser("gowers", help="search a monochromatic span witness")
-    _add_window(p)
-    _add_search(p)
-    _add_output(p)
-    p.add_argument("--coloring", required=True, help="const:0 | min_mod | max_mod | size_mod | value_at:P | table:FILE")
-    p.add_argument("--r", type=int, default=2, help="number of colors")
-    p.add_argument("--m", type=int, required=True, help="witness length")
-    p.add_argument("seq", nargs="?", default=None, help="ambient sequence (default: window generators)")
-
-    p = sub.add_parser("gowers-verify", help="check every coloring of a window has a witness")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    _add_search(p)
-    _add_output(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--budget", type=int, default=2**24, help="max colorings to enumerate")
-
-    p = sub.add_parser("ramsey2", help="search a witness monochromatic on length-n subsequences")
-    _add_window(p)
-    _add_search(p)
-    _add_output(p)
-    p.add_argument("--coloring", required=True)
-    p.add_argument("--n", type=int, required=True, help="coloring arity")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("seq", nargs="?", default=None)
-
-    p = sub.add_parser("forcing", help="decide accepts/rejects for a stem against a family")
-    _add_window(p)
-    _add_search(p)
-    _add_output(p)
-    p.add_argument("--family", required=True, help="empty | all_singletons | min_even_first | support_ge:S | explicit:FILE")
-    p.add_argument("--stem", default="", help="stem sequence (default empty)")
-    p.add_argument("--min-len", type=int, default=1, help="condensation length floor")
-    p.add_argument("seq", help="ambient block sequence")
-
-    p = sub.add_parser("galvin", help="two-alternative dichotomy below a sequence")
-    _add_window(p)
-    _add_search(p)
-    _add_output(p)
-    p.add_argument("--family", required=True)
-    p.add_argument("--stem", default="")
-    p.add_argument("--m", type=int, required=True, help="condensation length")
-    p.add_argument("seq", nargs="?", default=None)
-
-    p = sub.add_parser("classify", help="canonical relation agreeing on some span")
-    _add_window(p)
-    _add_search(p)
-    _add_output(p)
-    p.add_argument("--relation", required=True, help="equality | full | min_level:I | max_level:I | minmax_level:I | size_parity | table:FILE")
-    p.add_argument("--m", type=int, required=True, help="witness length")
-    p.add_argument("seq", nargs="?", default=None)
-
-    p = sub.add_parser("sos", help="staircase-system check")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--zero-convention",
-        default="support-boundary",
-        choices=canonical.ZERO_CONVENTIONS,
-        help="meaning of the level-0 landmarks",
-    )
-    _add_output(p)
-    p.add_argument("element")
-
-    p = sub.add_parser("tk", help="size of the canonical relation list")
-    _add_output(p)
-    p.add_argument("k", type=int)
-
-    p = sub.add_parser("mu", help="positions where the terms attain k")
-    p.add_argument("--k", type=int, required=True)
-    _add_output(p)
-    p.add_argument("seq")
-
-    p = sub.add_parser("top-member", help="membership in the closure coideal of a family file")
-    _add_window(p)
-    _add_search(p)
-    _add_output(p)
-    p.add_argument("--family", required=True, help="file of base sequences, one per line")
-    p.add_argument("--len", dest="length", type=int, required=True, help="common condensation length")
-    p.add_argument("seq")
-
-    p = sub.add_parser("diagonal", help="greedy diagonal through a decreasing chain")
-    _add_window(p)
-    _add_search(p)
-    _add_output(p)
-    p.add_argument("--chain", required=True, help="file of sequences, one per line, index order")
-
-    p = sub.add_parser("theta", help="net function to FIN_k element")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--delta", default="1/2", help="net parameter as P/Q (labels only)")
-    _add_output(p)
-    p.add_argument("netfn", help="exponent map, e.g. '0:0,2:1'")
-
-    p = sub.add_parser("theta-inv", help="FIN_k element to net function")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--delta", default="1/2")
-    _add_output(p)
-    p.add_argument("element")
-
-    p = sub.add_parser("kfor", help="level and delta for a stability epsilon")
-    _add_output(p)
-    p.add_argument("epsilon", help="positive rational, e.g. 1 or 3/4")
-
-    return top
-
-
 # -- command handlers ---------------------------------------------------------
 
 
+@_command("span", "enumerate the span of a block sequence",
+          *_WINDOW, _JSON, _arg("seq", help="block sequence, e.g. '0:1;1:1'"))
 def _cmd_span(args):
     w = _window(args)
     A = parse_seq(args.seq, w.k)
+    # each block is absent or takes one of k exponents, and some exponent is 0
+    if (w.k + 1) ** len(A) - w.k ** len(A) > SPAN_MAX_ELEMENTS:
+        raise FinkError(
+            f"the span of {len(A)} blocks at k={w.k} has more than {SPAN_MAX_ELEMENTS} elements"
+        )
     elems = [format_element(x) for x in span_enumerate(A, w)]
     return {"command": "span", "window": _window_dict(w), "elements": elems}, EXIT_OK
 
 
+@_command("member", "decompose an element over a block sequence",
+          _K, _arg("--in", dest="seq", required=True, help="ambient block sequence"), _JSON,
+          _arg("element"))
 def _cmd_member(args):
     A = parse_seq(args.seq, args.k)
     x = parse_element(args.element, args.k)
@@ -228,6 +175,8 @@ def _cmd_member(args):
     return report, EXIT_OK if d is not None else EXIT_EXHAUSTED
 
 
+@_command("tetris", "apply the decrement operation",
+          _K, _arg("--j", type=int, default=1, help="iterations (default 1)"), _JSON, _arg("element"))
 def _cmd_tetris(args):
     x = parse_element(args.element, args.k)
     out = tetris(x, args.j)
@@ -241,6 +190,13 @@ def _cmd_tetris(args):
     return report, EXIT_OK
 
 
+@_command(
+    "gowers", "search a monochromatic span witness", *_SEARCH,
+    _arg("--coloring", required=True, help="const:0 | min_mod | max_mod | size_mod | value_at:P | table:FILE"),
+    _arg("--r", type=int, default=2, help="number of colors"),
+    _arg("--m", type=int, required=True, help="witness length"),
+    _arg("seq", nargs="?", default=None, help="ambient sequence (default: window generators)"),
+)
 def _cmd_gowers(args):
     w = _window(args)
     A = _ambient(args, w)
@@ -264,6 +220,12 @@ def _cmd_gowers(args):
     return report, EXIT_OK if rep.found else EXIT_EXHAUSTED
 
 
+@_command(
+    "gowers-verify", "check every coloring of a window has a witness",
+    _K, _arg("--nmax", type=int, required=True), _THREADS, _JSON,
+    _arg("--m", type=int, required=True), _arg("--r", type=int, default=2),
+    _arg("--budget", type=int, default=2**24, help="max colorings to enumerate"),
+)
 def _cmd_gowers_verify(args):
     if args.budget < 1:
         raise FinkError(f"budget must be positive, got {args.budget}")
@@ -281,6 +243,11 @@ def _cmd_gowers_verify(args):
     return report, EXIT_OK if rep.holds else EXIT_EXHAUSTED
 
 
+@_command(
+    "ramsey2", "search a witness monochromatic on length-n subsequences", *_SEARCH,
+    _arg("--coloring", required=True), _arg("--n", type=int, required=True, help="coloring arity"),
+    _arg("--r", type=int, default=2), _arg("--m", type=int, required=True), _SEQ_OPT,
+)
 def _cmd_ramsey2(args):
     w = _window(args)
     A = _ambient(args, w)
@@ -305,6 +272,13 @@ def _cmd_ramsey2(args):
     return report, EXIT_OK if rep.found else EXIT_EXHAUSTED
 
 
+@_command(
+    "forcing", "decide accepts/rejects for a stem against a family", *_SEARCH,
+    _arg("--family", required=True, help="empty | all_singletons | min_even_first | support_ge:S | explicit:FILE"),
+    _arg("--stem", default="", help="stem sequence (default empty)"),
+    _arg("--min-len", type=int, default=1, help="condensation length floor"),
+    _arg("seq", help="ambient block sequence"),
+)
 def _cmd_forcing(args):
     w = _window(args)
     B = parse_seq(args.seq, w.k)
@@ -325,6 +299,11 @@ def _cmd_forcing(args):
     return report, code
 
 
+@_command(
+    "galvin", "two-alternative dichotomy below a sequence", *_SEARCH,
+    _arg("--family", required=True), _arg("--stem", default=""),
+    _arg("--m", type=int, required=True, help="condensation length"), _SEQ_OPT,
+)
 def _cmd_galvin(args):
     w = _window(args)
     A = _ambient(args, w)
@@ -347,6 +326,12 @@ def _cmd_galvin(args):
     return report, EXIT_OK if res.alternative is not None else EXIT_EXHAUSTED
 
 
+@_command(
+    "classify", "canonical relation agreeing on some span", *_SEARCH,
+    _arg("--relation", required=True,
+         help="equality | full | min_level:I | max_level:I | minmax_level:I | size_parity | table:FILE"),
+    _arg("--m", type=int, required=True, help="witness length"), _SEQ_OPT,
+)
 def _cmd_classify(args):
     w = _window(args)
     A = _ambient(args, w)
@@ -365,6 +350,12 @@ def _cmd_classify(args):
     return report, EXIT_OK if res is not None else EXIT_EXHAUSTED
 
 
+@_command(
+    "sos", "staircase-system check", _K,
+    _arg("--zero-convention", default="support-boundary", choices=canonical.ZERO_CONVENTIONS,
+         help="meaning of the level-0 landmarks"),
+    _JSON, _arg("element"),
+)
 def _cmd_sos(args):
     x = parse_element(args.element, args.k)
     res = canonical.sos_check(x, args.zero_convention)
@@ -379,12 +370,14 @@ def _cmd_sos(args):
     return report, EXIT_OK if res.ok else EXIT_EXHAUSTED
 
 
+@_command("tk", "size of the canonical relation list", _JSON, _arg("k", type=int))
 def _cmd_tk(args):
     if args.k > TK_MAX_K:
         raise FinkError(f"t({args.k}) has more than 4300 digits; k must be at most {TK_MAX_K}")
     return {"command": "tk", "k": args.k, "t": canonical.t_count(args.k)}, EXIT_OK
 
 
+@_command("mu", "positions where the terms attain k", _K, _JSON, _arg("seq"))
 def _cmd_mu(args):
     A = parse_seq(args.seq, args.k)
     report = {
@@ -396,6 +389,12 @@ def _cmd_mu(args):
     return report, EXIT_OK
 
 
+@_command(
+    "top-member", "membership in the closure coideal of a family file", *_SEARCH,
+    _arg("--family", required=True, help="file of base sequences, one per line"),
+    _arg("--len", dest="length", type=int, required=True, help="common condensation length"),
+    _arg("seq"),
+)
 def _cmd_top_member(args):
     w = _window(args)
     B = parse_seq(args.seq, w.k)
@@ -415,6 +414,8 @@ def _cmd_top_member(args):
     return report, EXIT_OK if witness is not None else EXIT_EXHAUSTED
 
 
+@_command("diagonal", "greedy diagonal through a decreasing chain", *_SEARCH,
+          _arg("--chain", required=True, help="file of sequences, one per line, index order"))
 def _cmd_diagonal(args):
     w = _window(args)
     chain = [parse_seq(line, w.k) for line in read_lines(args.chain)]
@@ -434,8 +435,11 @@ def _cmd_diagonal(args):
     return report, EXIT_OK
 
 
+@_command("theta", "net function to FIN_k element",
+          _K, _arg("--delta", default="1/2", help="net parameter as P/Q (labels only)"), _JSON,
+          _arg("netfn", help="exponent map, e.g. '0:0,2:1'"))
 def _cmd_theta(args):
-    delta = Fraction(args.delta)
+    delta = _rational("delta", args.delta)
     h = net.parse_net_function(args.netfn, args.k, delta)
     p = net.theta(h)
     report = {
@@ -448,8 +452,10 @@ def _cmd_theta(args):
     return report, EXIT_OK
 
 
+@_command("theta-inv", "FIN_k element to net function",
+          _K, _arg("--delta", default="1/2"), _JSON, _arg("element"))
 def _cmd_theta_inv(args):
-    delta = Fraction(args.delta)
+    delta = _rational("delta", args.delta)
     p = parse_element(args.element, args.k)
     h = net.theta_inv(p, delta)
     report = {
@@ -462,8 +468,10 @@ def _cmd_theta_inv(args):
     return report, EXIT_OK
 
 
+@_command("kfor", "level and delta for a stability epsilon",
+          _JSON, _arg("epsilon", help="positive rational, e.g. 1 or 3/4"))
 def _cmd_kfor(args):
-    eps = Fraction(args.epsilon)
+    eps = _rational("epsilon", args.epsilon)
     k, delta = net.k_for_epsilon(eps)
     report = {
         "command": "kfor",
@@ -472,27 +480,6 @@ def _cmd_kfor(args):
         "delta": str(delta),
     }
     return report, EXIT_OK
-
-
-_HANDLERS = {
-    "span": _cmd_span,
-    "member": _cmd_member,
-    "tetris": _cmd_tetris,
-    "gowers": _cmd_gowers,
-    "gowers-verify": _cmd_gowers_verify,
-    "ramsey2": _cmd_ramsey2,
-    "forcing": _cmd_forcing,
-    "galvin": _cmd_galvin,
-    "classify": _cmd_classify,
-    "sos": _cmd_sos,
-    "tk": _cmd_tk,
-    "mu": _cmd_mu,
-    "top-member": _cmd_top_member,
-    "diagonal": _cmd_diagonal,
-    "theta": _cmd_theta,
-    "theta-inv": _cmd_theta_inv,
-    "kfor": _cmd_kfor,
-}
 
 
 # -- rendering ----------------------------------------------------------------
@@ -553,20 +540,21 @@ def render_text(report: dict) -> str:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        report, code = _HANDLERS[args.command](args)
+        report, code = _COMMANDS[args.command].handler(args)
     except WindowExhausted as e:
         print(f"exhausted: {e}", file=sys.stderr)
         return EXIT_EXHAUSTED
     except (FinkError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(report, indent=2))
     else:
         sys.stdout.write(render_text(report))

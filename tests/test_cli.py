@@ -2,11 +2,19 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
-from finkit import parse_element, t_count
+import pytest
+
+from finkit import cli, parse_element, t_count
 from finkit.cli import TK_MAX_K, _cmd_tk, render_text, run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(argv):
@@ -312,3 +320,125 @@ def test_threads_byte_identical_quick():
     _, a, _ = invoke(argv + ["--threads", "1"])
     _, b, _ = invoke(argv + ["--threads", "8"])
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["kfor", "1/0"], "epsilon"),
+        (["theta", "--k", "2", "--delta", "1/0", "0:0,2:1"], "delta"),
+        (["theta-inv", "--k", "2", "--delta", "1/0", "0:2,2:1"], "delta"),
+    ],
+    ids=["kfor", "theta", "theta-inv"],
+)
+def test_zero_denominator_is_an_input_error(argv, name):
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} '1/0' has a zero denominator\n"
+
+
+def test_rational_exponent_is_bounded_before_the_power_is_built():
+    start = time.perf_counter()
+    code, out, err = invoke(["theta", "--k", "2", "--delta", "1e-999999999", "0:0,2:1"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: delta '1e-999999999' has an exponent beyond 4299\n"
+    code, out, err = invoke(["kfor", "1E+4_300"])
+    assert (code, out) == (2, "")
+    assert err == "error: epsilon '1E+4_300' has an exponent beyond 4299\n"
+    code, out, _ = invoke(["theta", "--k", "2", "--delta", "25e-2", "0:0,2:1"])
+    assert code == 0 and 'delta = "1/4"' in out
+    code, out, _ = invoke(["theta", "--k", "2", "--delta", "1e-4299", "0:0,2:1"])
+    assert code == 0 and f'delta = "1/1{"0" * 4299}"' in out
+
+
+def test_span_refuses_a_huge_span_before_building_it():
+    seq = ";".join(f"{i}:1" for i in range(60))
+    start = time.perf_counter()
+    code, out, err = invoke(["span", "--k", "1", "--nmax", "60", seq])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: the span of 60 blocks at k=1 has more than 1048576 elements\n"
+
+
+def test_span_bound_is_the_exact_span_size(monkeypatch):
+    argv = ["span", "--k", "2", "--nmax", "6", "0:2;1:1,2:2;4:2"]  # 3^3 - 2^3 = 19 elements
+    monkeypatch.setattr(cli, "SPAN_MAX_ELEMENTS", 19)
+    code, out, _ = invoke(argv)
+    assert code == 0 and len(out.splitlines()) == 1 + 19
+    monkeypatch.setattr(cli, "SPAN_MAX_ELEMENTS", 18)
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert err == "error: the span of 3 blocks at k=2 has more than 18 elements\n"
+
+
+# sha256 of the stdout of --help ("" is the top level) and of the stderr of
+# usage errors at COLUMNS=80, as printed when every query built all 17
+# subparsers; the bytes are the same on Python 3.10, 3.11 and 3.12.
+HELP_SHA256 = {
+    "": "8faffa0b6650e7eb6be50e0e00f6c16608ebeeb2423a57a7f788cc3653710e78",
+    "span": "1279fe0fd29277187ab5099e8277d085c0656bb1b07ded52be0a8173b128e34e",
+    "member": "5ae618e31028d74b7e192b9242b5e5e0b40e2814c50e3d6e2e4bdf833662f629",
+    "tetris": "f3f7a7c8fb1621bdffb3e641c5355c2563fcab7754f7584deea6fa91b26bea93",
+    "gowers": "7ac64502dc0c14eea4984f5d4148ce411c734a445508da99f6e60b2d8d94257f",
+    "gowers-verify": "717850c48d78a379c7a5c135d87afb5001c8c72f3d614cd438b6d6483571007c",
+    "ramsey2": "22d6341abc2c8ff5ccbcc405602d46cdc1a9a120367693869d041f4bb7d57530",
+    "forcing": "985f8c55dde6c6030d2eaca92ee1a3f3c6be6243ee0b73239677ba2b2e282811",
+    "galvin": "66ca7379c3dc57f056b64463e8009774e51b4abc74108c3d690371b181dae242",
+    "classify": "c0a36bc6186458809b1c30e4a98dfebadc31edb91e33a57434859166464992d2",
+    "sos": "06b6a05b003a71f7de55ed96f067582f7639bf4dab3dc674a930d0966419d523",
+    "tk": "cfb5fbb4b316c0b8bf90177a52a334bf8bd1af71e29d6e7637927d569a3b7a4f",
+    "mu": "cb0cebfc8ae84386d110444686f3e70f13c7c806e589bcdaa218fb41516caace",
+    "top-member": "3b2b8559dc94801a024cc1b02ef4b3ee2d00a79190180f9fcf09f35843148503",
+    "diagonal": "49c2bab10f7ed11e0527046835e21a27e414b28f07d014ac20a32dfb60047cc7",
+    "theta": "2494c590a7c617de102c9bc418068fb2cd0f648c1300bccc759e982bd539a83c",
+    "theta-inv": "79a8b9a794ff3dd29f2fe9260f403e5778e2c4d89dcf893e5419cbc91af09b13",
+    "kfor": "6fdd55b70387450e322174f9e8600c7e97bbe21cc04802ef8a75dc6c7a69566b",
+}
+USAGE_ERROR_SHA256 = {
+    (): "ee0252bf2bb420cea5a8cc2284e41d940ef1e4141667eee720054109a524fbb8",
+    ("bogus",): "a2ac4ddc72c2af97a9e24c12d7400d65e0f20f499e80ca73101f3a8e09279c3e",
+    ("span", "--bogus"): "22be5501d297753a4ca8f9f9f95e7dc5637cb2c4e0f098ec1ebe0722ce4a8f0c",
+    ("span", "--k", "1", "0:1"): "79479d623a32a10cd2b32955062649db4ebf0b498250f5b5281073a9c2546ecc",
+    # the top-level usage, listing every command, after one subparser ran
+    ("tk", "1", "extra"): "13a2303fe16b609af25a14ce36ddbb79558d7b185692af6494bf38bc8bc0317b",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_help_and_usage_error_bytes_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, digest in HELP_SHA256.items():
+        code, out, err = invoke([command, "--help"] if command else ["--help"])
+        assert (code, err) == (0, "") and _sha256(out) == digest, command
+    for argv, digest in USAGE_ERROR_SHA256.items():
+        code, out, err = invoke(list(argv))
+        assert (code, out) == (2, "") and _sha256(err) == digest, argv
+
+
+def test_a_query_builds_only_its_own_subparser(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    assert invoke(["tk", "1"])[0] == 0
+    assert built == ["tk"]
+    built.clear()
+    assert invoke(["--help"])[0] == 0
+    assert built == [name for name in HELP_SHA256 if name]
+
+
+def test_python_dash_m_finkit():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "finkit", "tk", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "619\nk = 3\n")
