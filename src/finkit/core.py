@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 
 class FinkError(Exception):
@@ -163,9 +163,6 @@ class Window:
 
     def contains_element(self, x: FinkElement) -> bool:
         return x.max_supp < self.n_max
-
-    def contains_seq(self, a: BlockSeq) -> bool:
-        return len(a) <= self.len_max and all(self.contains_element(x) for x in a)
 
     def require_inside(self, a: BlockSeq, what: str = "sequence") -> None:
         """Supports must fit; len_max caps constructed sequences, not inputs."""
@@ -383,32 +380,47 @@ def successor_starts(candidates: list[FinkElement]) -> list[int]:
     return [start[c.max_supp] for c in candidates]
 
 
-def first_picks(candidates: list[FinkElement], stem: BlockSeq) -> list[int]:
-    """Indices of the candidates that start after stem ends: the first level
-    of a block-ordered walk from stem, which need not lie in their span."""
+def extension_tree(
+    candidates: list[FinkElement], stem: BlockSeq, max_len: int, stop: Callable[[tuple], bool]
+) -> Iterator[tuple[tuple, bool]]:
+    """Walk the block-ordered extension tree of stem through candidates, depth first.
+
+    Candidates must be in span order (see successor_starts); the first level
+    holds those that start after stem ends, which need not lie in their span.
+    A node is the tuple of its elements, stem's first.  Children are tried in
+    candidate order.  Yields (node, True) for a node on which stop(node)
+    holds, without going below it, and (node, False) for a maximal node: one
+    that no candidate extends, or one of max_len elements.  The walk is lazy,
+    so a caller may stop at any yield.
+    """
+    after = successor_starts(candidates)
     floor = stem.max_supp
-    return [i for i, c in enumerate(candidates) if c.min_supp > floor]
+    total = len(candidates)
+
+    def walk(node, picks):
+        if stop(node):
+            yield node, True
+        elif picks and len(node) < max_len:
+            for i in picks:
+                yield from walk(node + (candidates[i],), range(after[i], total))
+        else:
+            yield node, False
+
+    return walk(stem.elems, [i for i, c in enumerate(candidates) if c.min_supp > floor])
 
 
 def sequences_over(candidates: list[FinkElement], stem: BlockSeq, n: int):
-    """DFS over block-ordered picks from candidates, extending stem to length n.
+    """The length-n nodes of the extension tree of stem through candidates.
 
     Candidates must be in span order (see successor_starts).  They are tried
     in list order at every level, so the output is lexicographic with respect
-    to that order.
+    to that order.  At n == len(stem) the one node is stem itself.
     """
     if n < len(stem):
         raise FinkError(f"target length {n} below stem length {len(stem)}")
-    after = successor_starts(candidates)
-
-    def extend(elems, picks):
-        if len(elems) == n:
-            yield BlockSeq(stem.k, elems)
-            return
-        for i in picks:
-            yield from extend(elems + (candidates[i],), range(after[i], len(candidates)))
-
-    yield from extend(stem.elems, first_picks(candidates, stem))
+    for node, hit in extension_tree(candidates, stem, n, lambda node: len(node) == n):
+        if hit:
+            yield BlockSeq(stem.k, node)
 
 
 def initial_segments(A: BlockSeq, n: int, w: Window) -> list[BlockSeq]:

@@ -21,13 +21,12 @@ from .core import (
     IncompatibleStem,
     Window,
     decompose,
-    first_picks,
+    extension_tree,
     format_seq,
     parse_seq,
     read_lines,
     sequences_over,
     span_enumerate,
-    successor_starts,
 )
 
 
@@ -108,29 +107,27 @@ def _require_stem(B: BlockSeq, a: BlockSeq) -> None:
             raise IncompatibleStem(f"stem element {x} is not in the span of {B}")
 
 
+def _stem_prefix_member(a: BlockSeq, F: FamilySpec) -> bool:
+    """Does a proper prefix of the stem lie in the family?  One settles every
+    branch at once; the stem itself is the root of the extension tree."""
+    return any(F.contains(a.prefix(t)) for t in range(len(a)))
+
+
+def _walk(B: BlockSeq, a: BlockSeq, F: FamilySpec, w: Window):
+    """The extension tree of a through [B], cut below each family member:
+    yields (node, True) per member and (node, False) per maximal branch
+    avoiding the family."""
+    return extension_tree(
+        span_enumerate(B, w), a, w.len_max, lambda node: F.contains(BlockSeq(a.k, node))
+    )
+
+
 def _accepts(B: BlockSeq, a: BlockSeq, F: FamilySpec, w: Window) -> AcceptsResult:
-    # A prefix of the stem in the family settles every branch at once.
-    for t in range(len(a) + 1):
-        if F.contains(a.prefix(t)):
-            return AcceptsResult(True, None)
-    candidates = span_enumerate(B, w)
-    after = successor_starts(candidates)
-
-    def walk(node: BlockSeq, picks) -> Optional[BlockSeq]:
-        extended = False
-        if len(node) < w.len_max:
-            for i in picks:
-                extended = True
-                child = node.extend(candidates[i])
-                if F.contains(child):
-                    continue  # every branch through child is already met
-                bad = walk(child, range(after[i], len(candidates)))
-                if bad is not None:
-                    return bad
-        return None if extended else node
-
-    bad = walk(a, first_picks(candidates, a))
-    return AcceptsResult(bad is None, bad)
+    if not _stem_prefix_member(a, F):
+        for node, member in _walk(B, a, F, w):
+            if not member:
+                return AcceptsResult(False, BlockSeq(a.k, node))
+    return AcceptsResult(True, None)
 
 
 def accepts(B: BlockSeq, a: BlockSeq, F: FamilySpec, w: Window) -> AcceptsResult:
@@ -201,27 +198,6 @@ def decides(
     return ForcingVerdict("undecided", branch=acc.branch, condensation=rej.condensation)
 
 
-def _avoids_family(B: BlockSeq, a: BlockSeq, F: FamilySpec, w: Window) -> bool:
-    """No windowed block sequence extending a through [B] (nor any prefix of
-    a) lies in the family."""
-    for t in range(len(a) + 1):
-        if F.contains(a.prefix(t)):
-            return False
-    candidates = span_enumerate(B, w)
-    after = successor_starts(candidates)
-    stack = [(a, first_picks(candidates, a))]
-    while stack:
-        node, picks = stack.pop()
-        if len(node) >= w.len_max:
-            continue
-        for i in picks:
-            child = node.extend(candidates[i])
-            if F.contains(child):
-                return False
-            stack.append((child, range(after[i], len(candidates))))
-    return True
-
-
 @dataclass(frozen=True)
 class DichotomyResult:
     alternative: Optional[int]  # 1, 2, or None when the window is exhausted
@@ -241,7 +217,10 @@ def galvin_dichotomy(
     family.  Alternative 2: every maximal branch of the extension tree meets
     it.  The first certificate found (scanning condensations in span order,
     alternative 1 checked first) is returned; if the window verifies
-    neither for any B, the result reports exhaustion.
+    neither for any B, the result reports exhaustion.  Each B's span is
+    built once and its extension tree walked once, up to the first node
+    that rules out each alternative: a member rules out 1 (a stem prefix in
+    the family counts), a maximal branch avoiding the family rules out 2.
     """
     if not 1 <= m <= w.len_max:
         raise FinkError(f"target length {m} outside 1..{w.len_max}")
@@ -249,11 +228,19 @@ def galvin_dichotomy(
         raise FinkError(f"level mismatch: stem k={a.k}, sequence k={A.k}")
     span = span_enumerate(A, w)
     empty = BlockSeq(A.k, ())
+    prefix_member = _stem_prefix_member(a, F)
 
     for B in sequences_over(span, empty, m):
-        if _avoids_family(B, a, F, w):
+        if prefix_member:
+            return DichotomyResult(2, B)
+        seen = set()  # True: a member, False: a maximal branch avoiding F
+        for _, member in _walk(B, a, F, w):
+            seen.add(member)
+            if len(seen) == 2:
+                break
+        if True not in seen:
             return DichotomyResult(1, B)
-        if _accepts(B, a, F, w).holds:
+        if False not in seen:
             return DichotomyResult(2, B)
     return DichotomyResult(None, None)
 

@@ -8,6 +8,7 @@ miss only means the window was too small, never a refutation.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -70,6 +71,8 @@ class ColoringSpec:
             raise FinkError(f"need at least 2 colors, got {self.r}")
         if self.kind == "const" and not 0 <= self.param < self.r:
             raise FinkError(f"constant color {self.param} outside 0..{self.r - 1}")
+        if self.kind == "value_at" and self.param < 0:
+            raise FinkError(f"value_at position {self.param} is negative")
 
     def color(self, obj: Colorable) -> int:
         if self.kind == "const":
@@ -283,15 +286,10 @@ def verify_finite_gowers(
     span = span_enumerate(A, w)
     index = {x.values: i for i, x in enumerate(elems)}
 
-    def digits_of(idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in elems:
-            idx, d = divmod(idx, r)
-            out.append(d)
-        return tuple(out)
-
-    for idx in range(total):
-        digits = digits_of(idx)
+    # product varies its last place fastest: reversed, the digits count in
+    # base r with the first window element least significant
+    for idx, most_first in enumerate(itertools.product(range(r), repeat=len(elems))):
+        digits = most_first[::-1]
         f = ColoringSpec.from_function(lambda x: digits[index[x.values]], r)
         if not gowers_search(f, A, m, w, span=span).found:
             table = {format_element(x): digits[i] for i, x in enumerate(elems)}

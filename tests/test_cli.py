@@ -103,6 +103,13 @@ def test_gowers_constant_color_out_of_range():
         assert err == f"error: constant color {color} outside 0..1\n"
 
 
+
+def test_gowers_value_at_negative_position():
+    argv = ["gowers", "--k", "1", "--nmax", "3", "--coloring", "value_at:-5", "--m", "1"]
+    code, out, err = invoke(argv)
+    assert code == 2 and out == ""
+    assert err == "error: value_at position -5 is negative\n"
+
 def test_gowers_verify_reports():
     code, out, _ = invoke(["gowers-verify", "--k", "1", "--nmax", "1", "--m", "1"])
     assert code == 0 and "holds = true" in out

@@ -361,6 +361,15 @@ def test_sequences_over_refuses_a_target_below_the_stem():
         list(sequences_over(span_enumerate(A, w), BlockSeq(1, ()), -3))
 
 
+
+def test_sequences_over_at_the_stem_length_yields_just_the_stem():
+    # inside the span, outside it, and with no candidate left to extend it
+    A = generators(1, 4)
+    span = span_enumerate(A, Window(1, 4, 4))
+    for text in ("", "0:1;1:1", "0:1,2:1", "3:1"):
+        stem = seq(text, 1)
+        assert list(sequences_over(span, stem, len(stem))) == [stem]
+
 # -- properties on random block sequences, against the raw references -----------------
 
 

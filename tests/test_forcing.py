@@ -25,6 +25,7 @@ from finkit import (
     span_enumerate,
 )
 from finkit import canonical, forcing
+from finkit.core import extension_tree
 from oracles import (
     ordered_span,
     raw,
@@ -396,8 +397,6 @@ def test_accepts_and_galvin_equal_the_raw_branch_references(A, data):
     assert got.holds == all(meets(F, b, A.k) for b in branches)
     if not got.holds:
         assert raw_seq(got.branch) in branches and not meets(F, raw_seq(got.branch), A.k)
-    extensions = [stem] + raw_extensions(raw_span(A), stem, w.len_max)
-    assert forcing._avoids_family(A, a, F, w) == (not any(meets(F, e, A.k) for e in extensions))
 
     m = data.draw(st.integers(1, min(2, len(A))))
     expected = DichotomyResult(None, None)
@@ -411,3 +410,49 @@ def test_accepts_and_galvin_equal_the_raw_branch_references(A, data):
             expected = DichotomyResult(2, B)
             break
     assert galvin_dichotomy(A, a, F, m, w) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_seqs(max_blocks=4), st.data())
+def test_extension_tree_equals_the_raw_references(A, data):
+    # cut at family members: the first member on each path, and the maximal
+    # branches that meet none, in depth-first candidate order
+    if len(A) == 0:
+        return
+    w = window_of(A, len_max=3)
+    F = families(data, A)
+    a = data.draw(stems(A, w))
+    stem = raw_seq(a)
+    span = span_enumerate(A, w)
+    position = {x.values: i for i, x in enumerate(span)}
+    raws = raw_span(A)
+
+    def first_member(node):
+        return family_on_raw(F, node, A.k) and not any(
+            family_on_raw(F, node[:t], A.k) for t in range(len(stem), len(node))
+        )
+
+    def avoids(node):
+        return not any(family_on_raw(F, node[:t], A.k) for t in range(len(stem), len(node) + 1))
+
+    walk = list(
+        extension_tree(span, a, w.len_max, lambda node: F.contains(BlockSeq(A.k, node)))
+    )
+    members = [raw_seq(node) for node, hit in walk if hit]
+    maximal = [raw_seq(node) for node, hit in walk if not hit]
+    nodes = [stem] + raw_extensions(raws, stem, w.len_max)
+    branches = raw_maximal_branches(raws, stem, w.len_max)
+    assert sorted(members, key=repr) == sorted(filter(first_member, nodes), key=repr)
+    assert sorted(maximal, key=repr) == sorted(filter(avoids, branches), key=repr)
+    picks = [tuple(position[x.values] for x in node[len(a) :]) for node, _ in walk]
+    assert picks == sorted(set(picks))
+
+
+def test_galvin_with_a_stem_prefix_in_the_family():
+    # the stem's proper prefix 0:1 lies in F, so every branch meets F at once
+    w = Window(1, 6, 6)
+    A = generators(1, 6)
+    a = parse_seq("0:1;1:1", 1)
+    F = FamilySpec.explicit([parse_seq("0:1", 1)])
+    first = next(sequences_over(span_enumerate(A, w), EMPTY, 2))
+    assert galvin_dichotomy(A, a, F, 2, w) == DichotomyResult(2, first)

@@ -148,6 +148,17 @@ def test_parse_coloring_forms(tmp_path):
         parse_coloring("wat", 2)
 
 
+
+def test_value_at_refuses_a_negative_position():
+    for make in (
+        lambda: ColoringSpec(1, 2, "value_at", param=-1),
+        lambda: parse_coloring("value_at:-5", 2),
+        lambda: parse_coloring("value_at:-1", 3, arity=2),
+    ):
+        with pytest.raises(FinkError, match="value_at position -[15] is negative"):
+            make()
+    assert parse_coloring("value_at:0", 2).color(parse_seq("0:1", 1).elems[0]) == 1
+
 def test_verify_tiny_windows():
     assert verify_finite_gowers(1, 1, 2, 1).holds
     rep = verify_finite_gowers(1, 2, 2, 1)
