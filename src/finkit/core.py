@@ -53,7 +53,7 @@ class WindowExhausted(FinkError):
     """A construction ran out of room inside the finite window."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinkElement:
     """A member of FIN_k: values sorted by position, all in 1..k, k attained."""
 
@@ -268,24 +268,39 @@ def _join(sums: list, images: list) -> list:
 
 
 class SpanState:
-    """The span of a block sequence grown one block at a time.
+    """The span of a block sequence grown one block at a time, inside the
+    already built span of an ambient A that the blocks condense.
 
     Holds every partial sum over the blocks so far, the empty one included;
     sums with a zero exponent are span elements, the rest may still become
-    one when a later block joins with exponent 0.
+    one when a later block joins with exponent 0.  A span element is not
+    built again: it is looked up, by its values, among the elements of A's
+    span, which span_enumerate built and validated once.
     """
 
-    __slots__ = ("k", "sums")
+    __slots__ = ("elements", "sums")
 
-    def __init__(self, k: int, sums: tuple = (((), False),)):
-        self.k = k
+    def __init__(self, elements: dict, sums: tuple = (((), False),)):
+        self.elements = elements
         self.sums = sums
 
+    @classmethod
+    def inside(cls, span: list[FinkElement]) -> "SpanState":
+        """The empty state, growing inside span = span_enumerate(A, w)."""
+        return cls({x.values: x for x in span})
+
     def extend(self, block: FinkElement) -> tuple["SpanState", list[FinkElement]]:
-        """The state with block appended, and the span elements it adds."""
+        """The state with block appended, and the span elements it adds.
+
+        Raises FinkError when an added element lies outside A's span, which
+        cannot happen while the blocks so far condense A.
+        """
         sums = _join(self.sums, _tetris_images(block))
-        fresh = [FinkElement(self.k, values) for values, zero in sums if zero]
-        return SpanState(self.k, self.sums + tuple(sums)), fresh
+        try:
+            fresh = [self.elements[values] for values, zero in sums if zero]
+        except KeyError:
+            raise FinkError(f"block {block} takes the span outside the ambient span") from None
+        return SpanState(self.elements, self.sums + tuple(sums)), fresh
 
 
 def span_enumerate(A: BlockSeq, w: Window) -> list[FinkElement]:

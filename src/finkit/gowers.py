@@ -8,7 +8,6 @@ miss only means the window was too small, never a refutation.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -25,6 +24,7 @@ from .core import (
     generators,
     initial_segments,
     read_lines,
+    sequences_over,
     span_enumerate,
     successor_starts,
     window_elements,
@@ -199,24 +199,24 @@ def _first_monochromatic(f: ColoringSpec, k: int, m: int, candidates: list, stat
     return SearchReport(True, BlockSeq(k, hit[0]), hit[1], nodes)
 
 
-def gowers_search(
-    f: ColoringSpec, A: BlockSeq, m: int, w: Window, *, span: Optional[list] = None
-) -> SearchReport:
+def gowers_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchReport:
     """Search for B <= A of length m with f constant on the span of B.
 
     Depth-first over span candidates in span order, pruning a partial B as
     soon as its partial span carries two colors.  The witness is the first
     one in that order; a miss means the window is exhausted, not that the
-    infinite statement fails.  A caller that searches one ambient many times
-    may pass span = span_enumerate(A, w) to build it once.
+    infinite statement fails.  The objects colored are the elements of
+    span_enumerate(A, w) themselves.
     """
     if f.arity != 1:
         raise FinkError(f"gowers_search needs an arity-1 coloring, got {f.arity}")
     if not 1 <= m <= w.len_max:
         raise FinkError(f"target length {m} outside 1..{w.len_max}")
     f.check_total(w)
-    candidates = span_enumerate(A, w) if span is None else span
-    return _first_monochromatic(f, A.k, m, candidates, SpanState(A.k), SpanState.extend)
+    candidates = span_enumerate(A, w)
+    return _first_monochromatic(
+        f, A.k, m, candidates, SpanState.inside(candidates), SpanState.extend
+    )
 
 
 def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchReport:
@@ -243,7 +243,8 @@ def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRep
         )
         return (span, layers + (layer,), ends + (pick.max_supp,)), added
 
-    return _first_monochromatic(f, k, m, span_enumerate(A, w), (SpanState(k), (), ()), extend)
+    candidates = span_enumerate(A, w)
+    return _first_monochromatic(f, k, m, candidates, (SpanState.inside(candidates), (), ()), extend)
 
 
 @dataclass(frozen=True)
@@ -262,11 +263,18 @@ def verify_finite_gowers(
 ) -> VerifyReport:
     """Does every r-coloring of the window [0, N) admit a length-m witness?
 
-    Iterates all r**(window size) colorings in base-r counter order and runs
-    the span search on each; the first failure is reported as an explicit
-    table.  Combinations whose coloring count exceeds the budget are refused
-    before anything is enumerated.  The span of the generators is built once
-    and shared by every coloring's search.
+    The colorings are counted in base r, the first window element the least
+    significant digit.  The first one with no witness is reported as an
+    explicit table, with its place in that order as colorings_checked.
+    Combinations whose coloring count exceeds the budget are refused before
+    anything is enumerated.
+
+    One depth-first search over partial colorings assigns the digits from the
+    most significant element down, trying colors 0..r-1, so it reaches full
+    colorings in counter order.  Each candidate witness, the span of one
+    length-m B over the generators, is checked when its least significant
+    element gets its color; once one is monochromatic, every coloring below
+    that node has a witness, and they are counted without being visited.
     """
     w = Window(k, N, max(m, 1))
     if r < 2:
@@ -280,18 +288,38 @@ def verify_finite_gowers(
         big = size is None or size.bit_length() > 64
         shown = f"({k + 1}^{N} - {k}^{N})" if big else size
         raise BudgetExceeded(f"{r}^{shown} colorings exceed budget {budget}")
-    total = r**size
+    if m < 1:
+        raise FinkError(f"target length {m} outside 1..{w.len_max}")
     elems = list(window_elements(w))
-    A = generators(k, N)
-    span = span_enumerate(A, w)
     index = {x.values: i for i, x in enumerate(elems)}
+    span = span_enumerate(generators(k, N), w)
+    root = SpanState.inside(span)
+    # per element, the witnesses whose least significant element it is, each
+    # as the other elements that must share its color
+    attached: list[list[tuple[int, ...]]] = [[] for _ in elems]
+    for B in sequences_over(span, BlockSeq(k, ()), m):
+        state, members = root, []
+        for x in B:
+            state, fresh = state.extend(x)
+            members.extend(index[y.values] for y in fresh)
+        members.sort()
+        attached[members[0]].append(tuple(members[1:]))
 
-    # product varies its last place fastest: reversed, the digits count in
-    # base r with the first window element least significant
-    for idx, most_first in enumerate(itertools.product(range(r), repeat=len(elems))):
-        digits = most_first[::-1]
-        f = ColoringSpec.from_function(lambda x: digits[index[x.values]], r)
-        if not gowers_search(f, A, m, w, span=span).found:
-            table = {format_element(x): digits[i] for i, x in enumerate(elems)}
-            return VerifyReport(False, idx + 1, table)
-    return VerifyReport(True, total, None)
+    digits = [0] * size
+    i = size - 1  # the element whose digit was just assigned
+    skipped = 0
+    while True:
+        c = digits[i]
+        if any(all(digits[j] == c for j in rest) for rest in attached[i]):
+            skipped += r**i
+            while digits[i] == r - 1:
+                i += 1
+                if i == size:
+                    return VerifyReport(True, skipped, None)
+            digits[i] += 1
+        elif i == 0:
+            table = {format_element(x): digits[j] for j, x in enumerate(elems)}
+            return VerifyReport(False, skipped + 1, table)
+        else:
+            i -= 1
+            digits[i] = 0

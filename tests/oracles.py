@@ -2,13 +2,26 @@
 
 Everything here works on raw value maps (frozensets of (position, value)
 pairs) and plain tuples; it shares no enumeration, pruning or search code
-with the library paths it is used to check.
+with the library paths it is used to check.  The one exception is
+flat_verify_finite_gowers, which runs the library's gowers_search once per
+coloring: it shares the span engine with verify_finite_gowers but none of
+its backtracking, and test_c04's own flat checker covers both.
 """
 
 import itertools
 from fractions import Fraction
 
-from finkit import BlockSeq, FinkElement
+from finkit import (
+    BlockSeq,
+    ColoringSpec,
+    FinkElement,
+    VerifyReport,
+    Window,
+    format_element,
+    generators,
+    gowers_search,
+    window_elements,
+)
 
 
 def raw(elem: FinkElement) -> frozenset:
@@ -197,6 +210,28 @@ def raw_maximal_branches(span_raws, stem, len_max: int):
 
     rec(tuple(stem))
     return out
+
+
+def flat_verify_finite_gowers(k: int, m: int, r: int, N: int) -> VerifyReport:
+    """verify_finite_gowers by one fresh gowers_search per coloring.
+
+    Visits every r-coloring of the window in base-r counter order, the first
+    window element least significant, and stops at the first one that has no
+    length-m witness.  There is no budget: for small windows only.
+    """
+    w = Window(k, N, max(m, 1))
+    elems = list(window_elements(w))
+    A = generators(k, N)
+    index = {x.values: i for i, x in enumerate(elems)}
+    # product varies its last place fastest: reversed, the digits count in
+    # base r with the first window element least significant
+    for idx, most_first in enumerate(itertools.product(range(r), repeat=len(elems))):
+        digits = most_first[::-1]
+        f = ColoringSpec.from_function(lambda x: digits[index[x.values]], r)
+        if not gowers_search(f, A, m, w).found:
+            table = {format_element(x): digits[i] for i, x in enumerate(elems)}
+            return VerifyReport(False, idx + 1, table)
+    return VerifyReport(True, r ** len(elems), None)
 
 
 def k_for_epsilon_by_loop(epsilon: Fraction):

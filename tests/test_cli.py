@@ -117,6 +117,12 @@ def test_gowers_verify_reports():
     assert code == 1 and "failing_coloring:" in out
 
 
+def test_gowers_verify_target_length_zero_exits_2():
+    code, out, err = invoke(["gowers-verify", "--k", "1", "--nmax", "3", "--m", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: target length 0 outside 1..1\n"
+
+
 def test_gowers_verify_budget_error():
     code, _, err = invoke(
         ["gowers-verify", "--k", "1", "--nmax", "5", "--m", "2", "--budget", "1000"]

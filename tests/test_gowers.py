@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,8 @@ from finkit import (
     verify_finite_gowers,
     window_elements,
 )
-from oracles import raw_span, raw_sequences, to_elem, to_seq
+import finkit.gowers
+from oracles import flat_verify_finite_gowers, raw_span, raw_sequences, to_elem, to_seq
 from test_span_engine import block_seqs, window_of
 
 
@@ -180,6 +183,83 @@ def test_verify_refusal_names_the_count_without_building_it():
             verify_finite_gowers(k, 2, 2, N)
     with pytest.raises(FinkError, match="at least 2 colors"):
         verify_finite_gowers(1, 2, 0, 3)
+
+
+def verify_outcome(rep):
+    # the failing table as a list, so that its key order is compared too
+    table = rep.failing_coloring
+    return rep.holds, rep.colorings_checked, None if table is None else list(table.items())
+
+
+def test_verify_equals_the_flat_scan():
+    # every window whose flat scan visits at most 2^12 colorings, every m up
+    # to one past the longest B the window holds
+    compared = 0
+    for k in (1, 2, 3):
+        for N in (1, 2, 3):
+            size = (k + 1) ** N - k**N
+            for r in (2, 3, 4):
+                if r**size > 2**12:
+                    continue
+                for m in range(1, N + 2):
+                    got = verify_finite_gowers(k, m, r, N)
+                    want = flat_verify_finite_gowers(k, m, r, N)
+                    assert verify_outcome(got) == verify_outcome(want), (k, m, r, N)
+                    compared += 1
+    assert compared == 50
+
+
+def test_verify_edge_cases():
+    with pytest.raises(FinkError, match=r"^target length 0 outside 1\.\.1$"):
+        verify_finite_gowers(1, 0, 2, 3)
+    # the budget is still checked first
+    with pytest.raises(BudgetExceeded):
+        verify_finite_gowers(1, 0, 2, 5, budget=2**20)
+    # no B of length m > N fits, so the all-zero coloring already fails
+    table = [("1:1", 0), ("0:1", 0), ("0:1,1:1", 0)]
+    assert verify_outcome(verify_finite_gowers(1, 3, 2, 2)) == (False, 1, table)
+
+
+def test_verify_decides_a_window_the_flat_scan_cannot_reach():
+    t0 = time.monotonic()
+    rep = verify_finite_gowers(2, 1, 2, 3)
+    assert time.monotonic() - t0 < 2.0
+    assert (rep.holds, rep.colorings_checked, rep.failing_coloring) == (True, 524288, None)
+
+
+def test_searches_color_the_span_elements_themselves(monkeypatch):
+    # the DFS looks span elements up, so every colored element is one of the
+    # objects span_enumerate built, never a copy built again
+    built = []
+
+    def recording_span_enumerate(A, w):
+        built.append(span_enumerate(A, w))
+        return built[-1]
+
+    monkeypatch.setattr(finkit.gowers, "span_enumerate", recording_span_enumerate)
+    colored = []
+
+    def recording(c):
+        def color(obj):
+            colored.append(obj)
+            return c(obj)
+
+        return color
+
+    A = parse_seq("0:2,1:1;2:2;3:1,4:2;5:2", 2)
+    w = Window(2, 6, 4)
+    size = ColoringSpec(1, 2, "size_mod")
+    rep = gowers_search(ColoringSpec.from_function(recording(size.color), 2), A, 3, w)
+    assert rep.nodes_explored > 1
+    ids = {id(x) for x in built[0]}
+    assert colored and all(id(x) in ids for x in colored)
+
+    colored.clear()
+    pairs = ColoringSpec(2, 2, "size_mod")
+    rep = ramsey2_search(ColoringSpec.from_function(recording(pairs.color), 2, 2), A, 3, w)
+    assert rep.nodes_explored > 1
+    ids = {id(x) for x in built[1]}
+    assert colored and all(id(x) in ids for s in colored for x in s.elems)
 
 
 def test_verify_color_permutation_equivariance():

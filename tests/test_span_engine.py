@@ -3,12 +3,14 @@ walks, checked against references that list and scan everything."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from finkit import (
     BlockSeq,
     ColoringSpec,
     FinkElement,
+    FinkError,
     Window,
     format_element,
     generators,
@@ -22,7 +24,7 @@ from finkit import (
     window_elements,
 )
 from finkit.canonical import sos_check
-from finkit.core import successor_starts
+from finkit.core import SpanState, successor_starts
 from oracles import (
     block_successor_starts,
     ordered_span,
@@ -65,6 +67,34 @@ def test_span_equals_ordered_reference(A):
     assert [x.values for x in got] == ordered_span(A)
     assert len(got) == (A.k + 1) ** len(A) - A.k ** len(A)
     assert {raw(x) for x in got} == raw_span(A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_seqs(max_blocks=4), st.data())
+def test_span_state_grows_inside_the_ambient_span(A, data):
+    # B drawn from the span of A condenses A: its span comes out as the
+    # ambient's own objects, equal to span_enumerate(B) as a set
+    w = window_of(A, len_max=3)
+    span = span_enumerate(A, w)
+    n = data.draw(st.integers(0, w.len_max))
+    pool = list(sequences_over(span, BlockSeq(A.k, ()), n))
+    if not pool:
+        return
+    B = data.draw(st.sampled_from(pool))
+    state, grown = SpanState.inside(span), []
+    for x in B:
+        state, fresh = state.extend(x)
+        grown.extend(fresh)
+    ids = {id(x) for x in span}
+    assert all(id(x) in ids for x in grown)
+    assert sorted(x.values for x in grown) == sorted(x.values for x in span_enumerate(B, w))
+
+
+def test_span_state_refuses_an_element_outside_the_ambient_span():
+    A = parse_seq("0:2,1:1;2:2", 2)
+    state = SpanState.inside(span_enumerate(A, window_of(A)))
+    with pytest.raises(FinkError, match="outside the ambient span"):
+        state.extend(FinkElement(2, ((0, 2),)))
 
 
 @settings(max_examples=150, deadline=None)
