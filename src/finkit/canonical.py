@@ -17,11 +17,12 @@ from .core import (
     BlockSeq,
     FinkElement,
     FinkError,
+    SpanState,
     Window,
+    first_condensation,
     format_element,
     parse_element,
     read_lines,
-    sequences_over,
     span_enumerate,
 )
 
@@ -280,25 +281,46 @@ def canonicalize_search(
 
     B is scanned in span order (restricted to staircase elements when
     k >= 2); for each B the candidates are tried in list order and the first
-    agreement wins.  The span of B and R's keys on it are built once per B.
-    None means the window admits no classification.
+    agreement wins.  R's and every candidate's keys are computed at most once
+    per element of A's span.  The span of B is grown pick by pick inside A's
+    span, and a prefix is pruned once every candidate disagrees with R on
+    its span, which lies inside the span of each B through it.  A table
+    relation whose window does not hold A is refused before the scan.  None
+    means the window admits no classification.
     """
     if not 1 <= m <= w.len_max:
         raise FinkError(f"target length {m} outside 1..{w.len_max}")
+    if R.window is not None and A.max_supp >= R.window.n_max:
+        raise FinkError(f"ambient {A} has support past the relation's window n_max={R.window.n_max}")
     k = A.k
     span = span_enumerate(A, w)
-    if k >= 2:
-        span = [x for x in span if sos_check(x).ok]
     cands = candidate_relations(k)
+    picks = [x for x in span if sos_check(x).ok] if k >= 2 else span
     caveat = PARTIAL_LIST_CAVEAT if k >= 2 else None
+    # per element of A's span reached, R's key and then each candidate's; by
+    # id, since span holds every element for the whole search
+    keys: dict = {}
 
-    for B in sequences_over(span, BlockSeq(k, ()), m):
-        span_b = span_enumerate(B, w)
-        r_keys = [R.key(x) for x in span_b]
-        for name, spec in cands:
-            if _same_partition(r_keys, [spec.key(x) for x in span_b]):
-                return CanonicalizationResult(name, spec, B, caveat)
-    return None
+    def keys_of(x) -> tuple:
+        t = keys.get(id(x))
+        if t is None:
+            t = keys[id(x)] = (R.key(x), *(spec.key(x) for _, spec in cands))
+        return t
+
+    def step(state, pick):
+        inner, alive = state
+        inner, _ = inner.extend(pick)
+        columns = list(zip(*map(keys_of, inner.span())))  # per relation, its keys
+        alive = [j for j in alive if _same_partition(columns[0], columns[j])]
+        return (inner, alive) if alive else None
+
+    root = (SpanState.inside(span), list(range(1, len(cands) + 1)))
+    hit, _ = first_condensation(picks, m, root, step)
+    if hit is None:
+        return None
+    B, (_, alive) = hit
+    name, spec = cands[alive[0] - 1]
+    return CanonicalizationResult(name, spec, BlockSeq(k, B), caveat)
 
 
 def t_count(k: int) -> int:

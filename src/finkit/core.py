@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
 class FinkError(Exception):
@@ -252,13 +252,13 @@ def _tetris_images(x: FinkElement) -> list[tuple[tuple[int, int], ...]]:
     return [tetris(x, j).values for j in range(x.k)]
 
 
-def _join(sums: list, images: list) -> list:
+def _join(sums: Iterable, images: list) -> list:
     """Partial block sums extended by one more block, given its tetris images.
 
-    A sum is (values, has a zero exponent); the block starts after every
-    position in sums, so joining keeps positions sorted.  Sums come outermost
-    and the exponent innermost: extending sums listed in exponent-vector
-    order keeps that order.
+    A sum is (values, has a zero exponent), and sums are read once.  The
+    block starts after every position in sums, so joining keeps positions
+    sorted.  Sums come outermost and the exponent innermost: extending sums
+    listed in exponent-vector order keeps that order.
     """
     return [
         (values + image, zero or j == 0)
@@ -271,18 +271,20 @@ class SpanState:
     """The span of a block sequence grown one block at a time, inside the
     already built span of an ambient A that the blocks condense.
 
-    Holds every partial sum over the blocks so far, the empty one included;
-    sums with a zero exponent are span elements, the rest may still become
-    one when a later block joins with exponent 0.  A span element is not
-    built again: it is looked up, by its values, among the elements of A's
-    span, which span_enumerate built and validated once.
+    Holds every partial sum over the blocks so far, the empty one included,
+    as one chunk per block; sums with a zero exponent are span elements, the
+    rest may still become one when a later block joins with exponent 0.  A
+    span element is not built again: it is looked up, by its values, among
+    the elements of A's span, which span_enumerate built and validated once.
+    The elements each block added are kept too, one list per block.
     """
 
-    __slots__ = ("elements", "sums")
+    __slots__ = ("elements", "sums", "added")
 
-    def __init__(self, elements: dict, sums: tuple = (((), False),)):
+    def __init__(self, elements: dict, sums: tuple = ((((), False),),), added: tuple = ()):
         self.elements = elements
         self.sums = sums
+        self.added = added
 
     @classmethod
     def inside(cls, span: list[FinkElement]) -> "SpanState":
@@ -290,17 +292,22 @@ class SpanState:
         return cls({x.values: x for x in span})
 
     def extend(self, block: FinkElement) -> tuple["SpanState", list[FinkElement]]:
-        """The state with block appended, and the span elements it adds.
+        """The state with block appended, and the span elements it adds, in
+        the order its sums list them.
 
         Raises FinkError when an added element lies outside A's span, which
         cannot happen while the blocks so far condense A.
         """
-        sums = _join(self.sums, _tetris_images(block))
+        sums = _join(itertools.chain.from_iterable(self.sums), _tetris_images(block))
         try:
             fresh = [self.elements[values] for values, zero in sums if zero]
         except KeyError:
             raise FinkError(f"block {block} takes the span outside the ambient span") from None
-        return SpanState(self.elements, self.sums + tuple(sums)), fresh
+        return SpanState(self.elements, self.sums + (sums,), self.added + (fresh,)), fresh
+
+    def span(self) -> Iterator[FinkElement]:
+        """The span of the blocks so far: what each block added, block by block."""
+        return itertools.chain.from_iterable(self.added)
 
 
 def span_enumerate(A: BlockSeq, w: Window) -> list[FinkElement]:
@@ -422,6 +429,39 @@ def extension_tree(
             yield node, False
 
     return walk(stem.elems, [i for i, c in enumerate(candidates) if c.min_supp > floor])
+
+
+def first_condensation(candidates: list[FinkElement], m: int, root, step: Callable):
+    """The first length-m block sequence of picks from candidates that step
+    lets through, and the number of picks tried.
+
+    Candidates must be in span order (see successor_starts).  Picks are tried
+    depth first in candidate order, the order of sequences_over from the
+    empty stem.  step(state, pick) returns the state after pick, or None to
+    prune every sequence through it; the walk starts from root.  Returns
+    ((picks, state), nodes) for the first sequence all of whose picks
+    passed, or (None, nodes) when there is none.
+    """
+    after = successor_starts(candidates)
+    total = len(candidates)
+    nodes = 0
+
+    def grow(picks, start, state):
+        nonlocal nodes
+        if len(picks) == m:
+            return picks, state
+        for idx in range(start, total):
+            nodes += 1
+            pick = candidates[idx]
+            nxt = step(state, pick)
+            if nxt is not None:
+                hit = grow(picks + (pick,), after[idx], nxt)
+                if hit is not None:
+                    return hit
+        return None
+
+    hit = grow((), 0, root)
+    return hit, nodes
 
 
 def sequences_over(candidates: list[FinkElement], stem: BlockSeq, n: int):

@@ -19,9 +19,11 @@ from .core import (
     BlockSeq,
     FinkError,
     IncompatibleStem,
+    SpanState,
     Window,
     decompose,
     extension_tree,
+    first_condensation,
     format_seq,
     parse_seq,
     read_lines,
@@ -113,18 +115,16 @@ def _stem_prefix_member(a: BlockSeq, F: FamilySpec) -> bool:
     return any(F.contains(a.prefix(t)) for t in range(len(a)))
 
 
-def _walk(B: BlockSeq, a: BlockSeq, F: FamilySpec, w: Window):
-    """The extension tree of a through [B], cut below each family member:
-    yields (node, True) per member and (node, False) per maximal branch
-    avoiding the family."""
-    return extension_tree(
-        span_enumerate(B, w), a, w.len_max, lambda node: F.contains(BlockSeq(a.k, node))
-    )
+def _walk(candidates: list, a: BlockSeq, F: FamilySpec, w: Window):
+    """The extension tree of a through the span-ordered candidates, cut below
+    each family member: yields (node, True) per member and (node, False) per
+    maximal branch avoiding the family."""
+    return extension_tree(candidates, a, w.len_max, lambda node: F.contains(BlockSeq(a.k, node)))
 
 
 def _accepts(B: BlockSeq, a: BlockSeq, F: FamilySpec, w: Window) -> AcceptsResult:
     if not _stem_prefix_member(a, F):
-        for node, member in _walk(B, a, F, w):
+        for node, member in _walk(span_enumerate(B, w), a, F, w):
             if not member:
                 return AcceptsResult(False, BlockSeq(a.k, node))
     return AcceptsResult(True, None)
@@ -217,32 +217,43 @@ def galvin_dichotomy(
     family.  Alternative 2: every maximal branch of the extension tree meets
     it.  The first certificate found (scanning condensations in span order,
     alternative 1 checked first) is returned; if the window verifies
-    neither for any B, the result reports exhaustion.  Each B's span is
-    built once and its extension tree walked once, up to the first node
-    that rules out each alternative: a member rules out 1 (a stem prefix in
-    the family counts), a maximal branch avoiding the family rules out 2.
+    neither for any B, the result reports exhaustion.  Only A's span is
+    built: each B's span is grown pick by pick inside it, and B's extension
+    tree is walked once, through B's span sorted by where each element
+    starts, up to the first node that rules out each alternative: a member
+    rules out 1 (a stem prefix in the family counts), a maximal branch
+    avoiding the family rules out 2.  Which nodes exist does not depend on
+    the order of the walk, so neither does the verdict.
     """
     if not 1 <= m <= w.len_max:
         raise FinkError(f"target length {m} outside 1..{w.len_max}")
     if a.k != A.k:
         raise FinkError(f"level mismatch: stem k={a.k}, sequence k={A.k}")
     span = span_enumerate(A, w)
-    empty = BlockSeq(A.k, ())
     prefix_member = _stem_prefix_member(a, F)
 
-    for B in sequences_over(span, empty, m):
+    def step(state, pick):
+        # below length m the state is B's span so far; at length m it is B's
+        # alternative, or None to go on
+        state, _ = state.extend(pick)
+        if len(state.added) < m:
+            return state
         if prefix_member:
-            return DichotomyResult(2, B)
+            return 2
+        # grouped by first block in block order, as extension_tree needs
+        span_b = sorted(state.span(), key=lambda x: x.values[0][0])
         seen = set()  # True: a member, False: a maximal branch avoiding F
-        for _, member in _walk(B, a, F, w):
+        for _, member in _walk(span_b, a, F, w):
             seen.add(member)
             if len(seen) == 2:
-                break
-        if True not in seen:
-            return DichotomyResult(1, B)
-        if False not in seen:
-            return DichotomyResult(2, B)
-    return DichotomyResult(None, None)
+                return None
+        return 1 if True not in seen else 2
+
+    hit, _ = first_condensation(span, m, SpanState.inside(span), step)
+    if hit is None:
+        return DichotomyResult(None, None)
+    B, alternative = hit
+    return DichotomyResult(alternative, BlockSeq(A.k, B))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .core import (
     FinkError,
     SpanState,
     Window,
+    first_condensation,
     format_element,
     format_seq,
     generators,
@@ -26,7 +27,6 @@ from .core import (
     read_lines,
     sequences_over,
     span_enumerate,
-    successor_starts,
     window_elements,
 )
 
@@ -164,39 +164,28 @@ def _heads(layers, limit: int, length: int):
                 yield head + (y,)
 
 
-def _first_monochromatic(f: ColoringSpec, k: int, m: int, candidates: list, state, extend):
-    """The search of gowers_search and ramsey2_search: depth-first over picks
-    from span-ordered candidates, pruning a partial B as soon as the objects
+def _first_monochromatic(f: ColoringSpec, k: int, m: int, candidates: list, root, extend):
+    """The search of gowers_search and ramsey2_search: the condensation walk
+    over span-ordered candidates, pruning a partial B as soon as the objects
     its picks added carry two colors.  extend(state, pick) returns the state
     with pick appended and the objects to color that the pick adds."""
-    after = successor_starts(candidates)
-    nodes = 0
 
-    def grow(picks, start, state, color):
-        nonlocal nodes
-        if len(picks) == m:
-            return picks, color
-        for idx in range(start, len(candidates)):
-            nodes += 1
-            pick = candidates[idx]
-            nxt, added = extend(state, pick)
-            col = color
-            for obj in added:
-                c = f.color(obj)
-                if col is None:
-                    col = c
-                elif c != col:
-                    break
-            else:
-                hit = grow(picks + (pick,), after[idx], nxt, col)
-                if hit is not None:
-                    return hit
-        return None
+    def step(state, pick):
+        inner, color = state
+        inner, added = extend(inner, pick)
+        for obj in added:
+            c = f.color(obj)
+            if color is None:
+                color = c
+            elif c != color:
+                return None
+        return inner, color
 
-    hit = grow((), 0, state, None)
+    hit, nodes = first_condensation(candidates, m, (root, None), step)
     if hit is None:
         return SearchReport(False, None, None, nodes)
-    return SearchReport(True, BlockSeq(k, hit[0]), hit[1], nodes)
+    picks, (_, color) = hit
+    return SearchReport(True, BlockSeq(k, picks), color, nodes)
 
 
 def gowers_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchReport:
@@ -298,11 +287,10 @@ def verify_finite_gowers(
     # as the other elements that must share its color
     attached: list[list[tuple[int, ...]]] = [[] for _ in elems]
     for B in sequences_over(span, BlockSeq(k, ()), m):
-        state, members = root, []
+        state = root
         for x in B:
-            state, fresh = state.extend(x)
-            members.extend(index[y.values] for y in fresh)
-        members.sort()
+            state, _ = state.extend(x)
+        members = sorted(index[y.values] for y in state.span())
         attached[members[0]].append(tuple(members[1:]))
 
     digits = [0] * size

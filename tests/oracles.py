@@ -2,10 +2,13 @@
 
 Everything here works on raw value maps (frozensets of (position, value)
 pairs) and plain tuples; it shares no enumeration, pruning or search code
-with the library paths it is used to check.  The one exception is
-flat_verify_finite_gowers, which runs the library's gowers_search once per
+with the library paths it is used to check.  There are two exceptions.
+flat_verify_finite_gowers runs the library's gowers_search once per
 coloring: it shares the span engine with verify_finite_gowers but none of
-its backtracking, and test_c04's own flat checker covers both.
+its backtracking, and test_c04's own flat checker covers both.  flat_galvin
+scans every B with sequences_over and builds each B's span with
+span_enumerate, then decides B on raw maps, where galvin_dichotomy builds
+only A's span and walks B's tree.
 """
 
 import itertools
@@ -14,12 +17,15 @@ from fractions import Fraction
 from finkit import (
     BlockSeq,
     ColoringSpec,
+    DichotomyResult,
     FinkElement,
     VerifyReport,
     Window,
     format_element,
     generators,
     gowers_search,
+    sequences_over,
+    span_enumerate,
     window_elements,
 )
 
@@ -210,6 +216,26 @@ def raw_maximal_branches(span_raws, stem, len_max: int):
 
     rec(tuple(stem))
     return out
+
+
+def flat_galvin(A: BlockSeq, a: BlockSeq, F, m: int, w: Window) -> DichotomyResult:
+    """galvin_dichotomy by one span_enumerate per length-m B over [A], in
+    span order.  B gives alternative 1 when no node of the stem's extension
+    tree through [B] (the stem included) has a prefix in F, and alternative 2
+    when every maximal branch does; the empty prefix and the stem's own
+    prefixes count."""
+    stem = tuple(raw(x) for x in a)
+
+    def meets(node):
+        return any(F.contains(to_seq(node[:t], A.k)) for t in range(len(node) + 1))
+
+    for B in sequences_over(span_enumerate(A, w), BlockSeq(A.k, ()), m):
+        raws = {raw(x) for x in span_enumerate(B, w)}
+        if not any(map(meets, [stem] + raw_extensions(raws, stem, w.len_max))):
+            return DichotomyResult(1, B)
+        if all(map(meets, raw_maximal_branches(raws, stem, w.len_max))):
+            return DichotomyResult(2, B)
+    return DichotomyResult(None, None)
 
 
 def flat_verify_finite_gowers(k: int, m: int, r: int, N: int) -> VerifyReport:

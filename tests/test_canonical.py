@@ -27,7 +27,7 @@ from finkit import (
     window_elements,
 )
 from oracles import pairwise_restriction_equals, relation_by_definition
-from test_span_engine import block_seqs, window_of
+from test_span_engine import block_seqs, record_walk, window_of
 
 
 def elem(text, k):
@@ -324,25 +324,30 @@ def test_classify_equals_a_flat_scan_with_the_pairwise_oracle(A, m, data):
     assert canonicalize_search(R, A, m, w) == expected
 
 
-def test_classify_builds_one_span_per_scanned_sequence(monkeypatch):
-    spans, scanned = [], []
-    span_of, scan = canonical.span_enumerate, canonical.sequences_over
+@pytest.mark.parametrize(
+    "k, n, m, relation",
+    [(1, 8, 3, "FIN^2"), (2, 8, 2, "FIN^2")],
+    ids=["k1", "k2"],
+)
+def test_classify_builds_only_the_ambient_span(monkeypatch, k, n, m, relation):
+    # every B's span is grown inside A's, and the walk stops at the witness
+    built, tried = record_walk(monkeypatch, canonical)
+    A = generators(k, n)
+    res = canonicalize_search(EquivRelSpec("size_parity"), A, m, Window(k, n, n))
+    assert res.relation == relation and len(tried) > m
+    assert built == [A]
+    assert tried[-1] is res.witness.elems[-1]
 
-    def counting_span(B, w):
-        spans.append(B)
-        return span_of(B, w)
 
-    def counting_scan(*args):
-        for B in scan(*args):
-            scanned.append(B)
-            yield B
-
-    monkeypatch.setattr(canonical, "span_enumerate", counting_span)
-    monkeypatch.setattr(canonical, "sequences_over", counting_scan)
-    A = generators(1, 8)
-    res = canonicalize_search(EquivRelSpec("size_parity"), A, 3, Window(1, 8, 8))
-    assert res.relation == "FIN^2" and len(scanned) > 1
-    assert spans == [A] + scanned
+def test_classify_refuses_a_table_relation_whose_window_misses_the_ambient():
+    # the relation's keys are read all over A's span, so its window must hold A;
+    # a flat scan used to return the one-element B 0:1, which fits the window
+    A = generators(1, 5)
+    R = EquivRelSpec.from_pairs([("0:1", "1:1")], 1, Window(1, 4, 4))
+    with pytest.raises(FinkError, match="past the relation's window n_max=4"):
+        canonicalize_search(R, A, 1, Window(1, 5, 5))
+    R = EquivRelSpec.from_pairs([("0:1", "1:1")], 1, Window(1, 5, 5))
+    assert canonicalize_search(R, A, 1, Window(1, 5, 5)).witness == parse_seq("0:1", 1)
 
 
 # -- the canonical count ---------------------------------------------------------------

@@ -27,6 +27,7 @@ from finkit import (
 from finkit import canonical, forcing
 from finkit.core import extension_tree
 from oracles import (
+    flat_galvin,
     ordered_span,
     raw,
     raw_all_sequences,
@@ -35,7 +36,7 @@ from oracles import (
     raw_span,
     to_seq,
 )
-from test_span_engine import block_seqs, raw_seq, stems, window_of
+from test_span_engine import block_seqs, raw_seq, record_walk, stems, window_of
 
 W4 = Window(1, 4, 4)
 G4 = generators(1, 4)
@@ -303,28 +304,20 @@ def test_threads_agree():
         assert rejects(A, EMPTY, F, w) == expected
 
 
-def test_searches_stop_at_first_hit(monkeypatch):
-    # the scans consume candidates only up to the first hit
-    def count_yields(module):
-        count = [0]
-        inner = module.sequences_over
-
-        def counted(*args):
-            for item in inner(*args):
-                count[0] += 1
-                yield item
-
-        monkeypatch.setattr(module, "sequences_over", counted)
-        return count
-
+def test_searches_build_one_span_and_stop_at_the_witness(monkeypatch):
+    # each B's span is grown inside A's, and no pick past the witness is tried
     w = Window(1, 6, 6)
     A = generators(1, 6)
-    galvin_count = count_yields(forcing)
-    assert galvin_dichotomy(A, EMPTY, F_EVEN, 2, w).alternative == 2
-    assert galvin_count[0] == 17
-    classify_count = count_yields(canonical)
-    assert canonicalize_search(EquivRelSpec("size_parity"), A, 2, w) is not None
-    assert classify_count[0] == 2
+    built, tried = record_walk(monkeypatch, forcing)
+    for F, alternative in ((F_EVEN, 2), (FamilySpec.explicit([parse_seq("0:1", 1)]), 1)):
+        del built[:], tried[:]
+        res = galvin_dichotomy(A, EMPTY, F, 2, w)
+        assert res.alternative == alternative and len(tried) > 2
+        assert built == [A]
+        assert tried[-1] is res.witness.elems[-1]
+    built, tried = record_walk(monkeypatch, canonical)
+    res = canonicalize_search(EquivRelSpec("size_parity"), A, 2, w)
+    assert built == [A] and tried[-1] is res.witness.elems[-1]
 
 
 # -- level-2 windows ----------------------------------------------------------------
@@ -456,3 +449,30 @@ def test_galvin_with_a_stem_prefix_in_the_family():
     F = FamilySpec.explicit([parse_seq("0:1", 1)])
     first = next(sequences_over(span_enumerate(A, w), EMPTY, 2))
     assert galvin_dichotomy(A, a, F, 2, w) == DichotomyResult(2, first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_seqs(max_k=2, max_blocks=4), st.data())
+def test_galvin_equals_the_flat_per_b_scan(A, data):
+    # stems inside and outside the span; the family may hold a proper prefix
+    # of the stem, which settles alternative 2 at the first B
+    if len(A) == 0:
+        return
+    w = window_of(A, len_max=3)
+    a = data.draw(stems(A, w))
+    F = families(data, A)
+    if len(a) and data.draw(st.booleans()):
+        F = FamilySpec.explicit([a.prefix(data.draw(st.integers(0, len(a) - 1)))])
+    m = data.draw(st.integers(1, min(3, len(A) + 1)))
+    assert galvin_dichotomy(A, a, F, m, w) == flat_galvin(A, a, F, m, w)
+
+
+def test_galvin_equals_the_flat_scan_for_every_one_sequence_family():
+    # F = {s} for each block sequence s of one or two elements over [A]: a
+    # tree walk that skipped a successor would miss some s
+    w = Window(1, 4, 4)
+    A = generators(1, 4)
+    for s in raw_all_sequences(raw_span(A), 2)[1:]:
+        F = FamilySpec.explicit([to_seq(s, 1)])
+        for m in (1, 2):
+            assert galvin_dichotomy(A, EMPTY, F, m, w) == flat_galvin(A, EMPTY, F, m, w)

@@ -2,6 +2,7 @@
 walks, checked against references that list and scan everything."""
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from finkit import (
     window_elements,
 )
 from finkit.canonical import sos_check
-from finkit.core import SpanState, successor_starts
+from finkit.core import SpanState, first_condensation, successor_starts
 from oracles import (
     block_successor_starts,
     ordered_span,
@@ -95,6 +96,82 @@ def test_span_state_refuses_an_element_outside_the_ambient_span():
     state = SpanState.inside(span_enumerate(A, window_of(A)))
     with pytest.raises(FinkError, match="outside the ambient span"):
         state.extend(FinkElement(2, ((0, 2),)))
+
+
+def test_span_state_keeps_earlier_sums_without_copying():
+    # one chunk of sums per block: extending shares every earlier chunk
+    A = parse_seq("0:2,1:1;2:2;3:1,4:2", 2)
+    span = span_enumerate(A, window_of(A))
+    state, grown = SpanState.inside(span), []
+    for x in A:
+        nxt, fresh = state.extend(x)
+        assert len(nxt.sums) == len(state.sums) + 1
+        assert all(new is old for new, old in zip(nxt.sums, state.sums))
+        state = nxt
+        grown.extend(fresh)
+    assert sum(map(len, state.sums)) == (A.k + 1) ** len(A)  # the empty sum and every other
+    assert list(state.span()) == grown and sorted(x.values for x in grown) == sorted(
+        x.values for x in span
+    )
+
+
+def record_walk(monkeypatch, module):
+    """Record, in a searching module, the inputs of every span it builds and
+    every pick its condensation walk tries, in order."""
+    built, tried = [], []
+    walk, span_of = module.first_condensation, module.span_enumerate
+
+    def recorded_walk(candidates, m, root, step):
+        def recorded_step(state, pick):
+            tried.append(pick)
+            return step(state, pick)
+
+        return walk(candidates, m, root, recorded_step)
+
+    def recorded_span(B, w):
+        built.append(B)
+        return span_of(B, w)
+
+    monkeypatch.setattr(module, "first_condensation", recorded_walk)
+    monkeypatch.setattr(module, "span_enumerate", recorded_span)
+    return built, tried
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_seqs(max_blocks=4), st.integers(0, 4), st.integers(2, 4), st.binary(max_size=4))
+def test_first_condensation_equals_a_flat_pruned_scan(A, m, modulus, salt):
+    # a pseudo-random step that prunes some prefixes: the walk tries exactly
+    # the picks a scan of the whole span at every level tries, in that order
+    span = span_enumerate(A, window_of(A))
+
+    def passes(node):
+        return zlib.crc32(repr([x.values for x in node]).encode() + salt) % modulus != 0
+
+    tried = []
+
+    def flat(node):
+        if len(node) == m:
+            return node
+        floor = node[-1].max_supp if node else -1
+        for c in span:
+            if c.min_supp > floor:
+                tried.append(node + (c,))
+                if passes(node + (c,)):
+                    hit = flat(node + (c,))
+                    if hit is not None:
+                        return hit
+        return None
+
+    expected = flat(())
+    walked = []
+
+    def step(node, pick):
+        walked.append(node + (pick,))
+        return node + (pick,) if passes(node + (pick,)) else None
+
+    hit, nodes = first_condensation(span, m, (), step)
+    assert walked == tried and nodes == len(tried)
+    assert hit == (None if expected is None else (expected, expected))
 
 
 @settings(max_examples=150, deadline=None)
