@@ -73,7 +73,6 @@ from .forcing import (
     OpenSetResult,
     RejectsResult,
     accepts,
-    condensations,
     decides,
     galvin_dichotomy,
     open_set_ramsey,

@@ -111,9 +111,11 @@ def partition_refine(A: BlockSeq, mask, L: int, w: Window) -> RefineResult:
     """Split A by the mask and find a length-L condensation of one side.
 
     A subsequence is itself a condensation, so the longer side truncated
-    always works when it has at least L terms; otherwise a span-level search
-    over each side is attempted before reporting exhaustion.
+    works when it has at least L terms.  Otherwise no side has one: a block
+    sequence over the span of a side has at most as many terms as the side.
     """
+    if not 1 <= L <= w.len_max:
+        raise FinkError(f"target length {L} outside 1..{w.len_max}")
     mask = list(mask)
     if len(mask) != len(A):
         raise FinkError(f"mask length {len(mask)} differs from sequence length {len(A)}")
@@ -122,12 +124,6 @@ def partition_refine(A: BlockSeq, mask, L: int, w: Window) -> RefineResult:
     for side, part in (("left", left), ("right", right)):
         if len(part) >= L:
             return RefineResult(side, part.prefix(L))
-    for side, part in (("left", left), ("right", right)):
-        if len(part) == 0:
-            continue
-        found = initial_segments(part, L, w)
-        if found:
-            return RefineResult(side, found[0])
     return RefineResult(None, None)
 
 
@@ -211,9 +207,7 @@ def dense_open_violation(
     violation.  A window-level check only: the genuine notion quantifies
     over infinite sequences.
     """
-    seqs: list[BlockSeq] = []
-    for L in range(1, w.len_max + 1):
-        seqs.extend(initial_segments(ambient, L, w))
+    seqs = [s for L in range(1, w.len_max + 1) for s in initial_segments(ambient, L, w)]
     for s in seqs:
         if not pred(s):
             continue

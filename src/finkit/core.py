@@ -484,11 +484,7 @@ def initial_segments(A: BlockSeq, n: int, w: Window) -> list[BlockSeq]:
     n = 0 yields just the empty sequence.  Enumeration order follows the
     span order, depth first.
     """
-    if n > w.len_max:
-        raise FinkError(f"length {n} exceeds window len_max={w.len_max}")
-    if n == 0:
-        return [BlockSeq(A.k, ())]
-    return list(sequences_over(span_enumerate(A, w), BlockSeq(A.k, ()), n))
+    return neighborhood(BlockSeq(A.k, ()), A, n, w)
 
 
 def neighborhood(a: BlockSeq, A: BlockSeq, n: int, w: Window) -> list[BlockSeq]:

@@ -13,7 +13,7 @@ window, not to the infinite notions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     BlockSeq,
@@ -27,7 +27,6 @@ from .core import (
     format_seq,
     parse_seq,
     read_lines,
-    sequences_over,
     span_enumerate,
 )
 
@@ -122,12 +121,39 @@ def _walk(candidates: list, a: BlockSeq, F: FamilySpec, w: Window):
     return extension_tree(candidates, a, w.len_max, lambda node: F.contains(BlockSeq(a.k, node)))
 
 
-def _accepts(B: BlockSeq, a: BlockSeq, F: FamilySpec, w: Window) -> AcceptsResult:
+def _avoiding_branch(candidates: list, a: BlockSeq, F: FamilySpec, w: Window) -> Optional[BlockSeq]:
+    """The first maximal branch extending a through the candidates that
+    avoids the family, or None when every branch meets it."""
     if not _stem_prefix_member(a, F):
-        for node, member in _walk(span_enumerate(B, w), a, F, w):
+        for node, member in _walk(candidates, a, F, w):
             if not member:
-                return AcceptsResult(False, BlockSeq(a.k, node))
-    return AcceptsResult(True, None)
+                return BlockSeq(a.k, node)
+    return None
+
+
+def _first_settled(span: list, a: BlockSeq, lengths, settle: Callable):
+    """(B, verdict) for the first condensation B of A, of each length in
+    turn, on which settle returns a true verdict; None if there is none.
+
+    B runs over picks from span, A's span, in the order of sequences_over,
+    and its span is grown inside A's, never built.  settle gets it sorted by
+    where each element starts, grouped by first block as extension_tree
+    needs: which nodes B's tree has, and so a verdict read off them, does
+    not depend on the order of the walk."""
+    for m in lengths:
+
+        def step(state, pick):
+            # below length m the state is B's span so far; at length m it is
+            # B's verdict, or None to go on
+            state, _ = state.extend(pick)
+            if len(state.added) < m:
+                return state
+            return settle(sorted(state.span(), key=lambda x: x.values[0][0])) or None
+
+        hit, _ = first_condensation(span, m, SpanState.inside(span), step)
+        if hit is not None:
+            return BlockSeq(a.k, hit[0]), hit[1]
+    return None
 
 
 def accepts(B: BlockSeq, a: BlockSeq, F: FamilySpec, w: Window) -> AcceptsResult:
@@ -136,9 +162,9 @@ def accepts(B: BlockSeq, a: BlockSeq, F: FamilySpec, w: Window) -> AcceptsResult
     The stem must be empty or have all its elements in the span of B.  On
     failure the result carries one maximal branch avoiding the family.
     """
-    if len(a):
-        _require_stem(B, a)
-    return _accepts(B, a, F, w)
+    _require_stem(B, a)
+    branch = _avoiding_branch(span_enumerate(B, w), a, F, w)
+    return AcceptsResult(branch is None, branch)
 
 
 def _require_min_len(min_len: int, w: Window) -> None:
@@ -146,15 +172,17 @@ def _require_min_len(min_len: int, w: Window) -> None:
         raise FinkError(f"condensation length floor {min_len} outside 1..{w.len_max}")
 
 
-def condensations(B: BlockSeq, w: Window, min_len: int = 1):
-    """All block sequences over [B] inside the window of length at least
-    min_len (1 <= min_len <= len_max), shortest first, then lexicographic in
-    span order."""
-    _require_min_len(min_len, w)
-    candidates = span_enumerate(B, w)
-    empty = BlockSeq(B.k, ())
-    for L in range(min_len, w.len_max + 1):
-        yield from sequences_over(candidates, empty, L)
+def _accepting_condensation(span: list, a: BlockSeq, F: FamilySpec, w: Window, min_len: int):
+    """The first condensation of B, min_len or more long and shortest first,
+    whose span holds the stem and accepts it, or None; span is B's span.
+    Acceptance is not hereditary in a window, so every length is tried."""
+
+    def settle(span_b):
+        held = {x.values for x in span_b}
+        return all(x.values in held for x in a) and _avoiding_branch(span_b, a, F, w) is None
+
+    hit = _first_settled(span, a, range(min_len, w.len_max + 1), settle)
+    return hit[0] if hit else None
 
 
 def rejects(
@@ -169,15 +197,10 @@ def rejects(
     Condensations shorter than min_len (1 <= min_len <= len_max) are not
     tried.  On failure the result carries the first accepting condensation.
     """
-    if len(a):
-        _require_stem(B, a)
-
-    for B2 in condensations(B, w, min_len):
-        if len(a) and any(decompose(x, B2) is None for x in a):
-            continue
-        if _accepts(B2, a, F, w).holds:
-            return RejectsResult(False, B2)
-    return RejectsResult(True, None)
+    _require_stem(B, a)
+    _require_min_len(min_len, w)
+    B2 = _accepting_condensation(span_enumerate(B, w), a, F, w, min_len)
+    return RejectsResult(B2 is None, B2)
 
 
 def decides(
@@ -187,15 +210,16 @@ def decides(
     w: Window,
     min_len: int = 1,
 ) -> ForcingVerdict:
-    """Run accepts, then rejects; report the first that holds, else undecided."""
+    """Run accepts, then rejects, on one span of B; report the first that
+    holds, else undecided."""
     _require_min_len(min_len, w)
-    acc = accepts(B, a, F, w)
-    if acc.holds:
+    _require_stem(B, a)
+    span = span_enumerate(B, w)
+    branch = _avoiding_branch(span, a, F, w)
+    if branch is None:
         return ForcingVerdict("accepts")
-    rej = rejects(B, a, F, w, min_len)
-    if rej.holds:
-        return ForcingVerdict("rejects", branch=acc.branch)
-    return ForcingVerdict("undecided", branch=acc.branch, condensation=rej.condensation)
+    B2 = _accepting_condensation(span, a, F, w, min_len)
+    return ForcingVerdict("rejects" if B2 is None else "undecided", branch, B2)
 
 
 @dataclass(frozen=True)
@@ -217,31 +241,20 @@ def galvin_dichotomy(
     family.  Alternative 2: every maximal branch of the extension tree meets
     it.  The first certificate found (scanning condensations in span order,
     alternative 1 checked first) is returned; if the window verifies
-    neither for any B, the result reports exhaustion.  Only A's span is
-    built: each B's span is grown pick by pick inside it, and B's extension
-    tree is walked once, through B's span sorted by where each element
-    starts, up to the first node that rules out each alternative: a member
-    rules out 1 (a stem prefix in the family counts), a maximal branch
-    avoiding the family rules out 2.  Which nodes exist does not depend on
-    the order of the walk, so neither does the verdict.
+    neither for any B, the result reports exhaustion.  B's extension tree
+    is walked once, up to the first node that rules out each alternative:
+    a member rules out 1 (a stem prefix in the family counts), a maximal
+    branch avoiding the family rules out 2.
     """
     if not 1 <= m <= w.len_max:
         raise FinkError(f"target length {m} outside 1..{w.len_max}")
     if a.k != A.k:
         raise FinkError(f"level mismatch: stem k={a.k}, sequence k={A.k}")
-    span = span_enumerate(A, w)
     prefix_member = _stem_prefix_member(a, F)
 
-    def step(state, pick):
-        # below length m the state is B's span so far; at length m it is B's
-        # alternative, or None to go on
-        state, _ = state.extend(pick)
-        if len(state.added) < m:
-            return state
+    def settle(span_b):
         if prefix_member:
             return 2
-        # grouped by first block in block order, as extension_tree needs
-        span_b = sorted(state.span(), key=lambda x: x.values[0][0])
         seen = set()  # True: a member, False: a maximal branch avoiding F
         for _, member in _walk(span_b, a, F, w):
             seen.add(member)
@@ -249,11 +262,8 @@ def galvin_dichotomy(
                 return None
         return 1 if True not in seen else 2
 
-    hit, _ = first_condensation(span, m, SpanState.inside(span), step)
-    if hit is None:
-        return DichotomyResult(None, None)
-    B, alternative = hit
-    return DichotomyResult(alternative, BlockSeq(A.k, B))
+    B, alternative = _first_settled(span_enumerate(A, w), a, (m,), settle) or (None, None)
+    return DichotomyResult(alternative, B)
 
 
 @dataclass(frozen=True)

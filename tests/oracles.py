@@ -2,13 +2,15 @@
 
 Everything here works on raw value maps (frozensets of (position, value)
 pairs) and plain tuples; it shares no enumeration, pruning or search code
-with the library paths it is used to check.  There are two exceptions.
+with the library paths it is used to check.  There are three exceptions.
 flat_verify_finite_gowers runs the library's gowers_search once per
 coloring: it shares the span engine with verify_finite_gowers but none of
 its backtracking, and test_c04's own flat checker covers both.  flat_galvin
 scans every B with sequences_over and builds each B's span with
 span_enumerate, then decides B on raw maps, where galvin_dichotomy builds
-only A's span and walks B's tree.
+only A's span and walks B's tree.  condensations lists every condensation
+flat, by sequences_over over one span_enumerate, where rejects and decides
+grow each condensation's span inside B's with the condensation walk.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from finkit import (
     ColoringSpec,
     DichotomyResult,
     FinkElement,
+    FinkError,
     VerifyReport,
     Window,
     format_element,
@@ -216,6 +219,18 @@ def raw_maximal_branches(span_raws, stem, len_max: int):
 
     rec(tuple(stem))
     return out
+
+
+def condensations(B: BlockSeq, w: Window, min_len: int = 1):
+    """All block sequences over [B] inside the window of length at least
+    min_len (1 <= min_len <= len_max), shortest first, then lexicographic in
+    span order."""
+    if not 1 <= min_len <= w.len_max:
+        raise FinkError(f"condensation length floor {min_len} outside 1..{w.len_max}")
+    candidates = span_enumerate(B, w)
+    empty = BlockSeq(B.k, ())
+    for L in range(min_len, w.len_max + 1):
+        yield from sequences_over(candidates, empty, L)
 
 
 def flat_galvin(A: BlockSeq, a: BlockSeq, F, m: int, w: Window) -> DichotomyResult:

@@ -38,8 +38,9 @@ from finkit import (
     window_elements,
 )
 from finkit.cli import run as cli_run
-from finkit.forcing import condensations, galvin_dichotomy
+from finkit.forcing import galvin_dichotomy
 from oracles import (
+    condensations,
     raw,
     raw_extensions,
     raw_maximal_branches,

@@ -187,6 +187,13 @@ def test_partition_refine_pigeonhole_exact():
         assert all(x in side_gens for x in res.witness)
 
 
+def test_partition_refine_refuses_a_length_outside_the_window():
+    w = Window(1, 3, 3)
+    for L in (-1, 0, 4):
+        with pytest.raises(FinkError, match=f"target length {L} outside 1..3"):
+            partition_refine(generators(1, 3), [0, 1, 0], L, w)
+
+
 def test_partition_refine_mask_length_checked():
     with pytest.raises(FinkError):
         partition_refine(generators(1, 3), [0, 1], 1, Window(1, 3, 3))

@@ -228,6 +228,13 @@ def test_initial_segments_examples():
     assert twos == ["0:1;1:1"]
 
 
+def test_initial_segments_checks_the_window_at_every_length():
+    A = generators(1, 5)
+    for n in (0, 1, 2):
+        with pytest.raises(FinkError, match="past window n_max=4"):
+            initial_segments(A, n, Window(1, 4, 4))
+
+
 def test_neighborhood_examples():
     a = seq("0:1", 1)
     A = generators(1, 3)

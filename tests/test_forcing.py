@@ -2,21 +2,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finkit import (
+    AcceptsResult,
     BlockSeq,
     DichotomyResult,
     EquivRelSpec,
     FamilySpec,
     FinkError,
+    ForcingVerdict,
     IncompatibleStem,
     RejectsResult,
     Window,
     accepts,
     canonicalize_search,
-    condensations,
     decides,
     format_seq,
     galvin_dichotomy,
     generators,
+    leq,
     open_set_ramsey,
     parse_family,
     parse_seq,
@@ -27,12 +29,14 @@ from finkit import (
 from finkit import canonical, forcing
 from finkit.core import extension_tree
 from oracles import (
+    condensations,
     flat_galvin,
     ordered_span,
     raw,
     raw_all_sequences,
     raw_extensions,
     raw_maximal_branches,
+    raw_sequences,
     raw_span,
     to_seq,
 )
@@ -95,6 +99,14 @@ def test_accepts_validates_stem():
     b2 = parse_seq("1:2", 2)
     with pytest.raises(IncompatibleStem):
         accepts(BlockSeq(2, b2.elems), stray, F_SING, Window(2, 4, 4))
+
+
+def test_a_stem_of_another_level_is_refused_up_front():
+    # the empty stem too, as galvin_dichotomy does
+    for stem in (BlockSeq(2, ()), parse_seq("0:2", 2)):
+        for query in (accepts, rejects, decides):
+            with pytest.raises(FinkError, match="level mismatch: stem k=2, sequence k=1"):
+                query(G4, stem, F_SING, W4)
 
 
 def test_accepts_counterexample_is_maximal_and_avoiding():
@@ -164,6 +176,76 @@ def test_decides_statuses():
     # the carried witnesses really exhibit both failures
     assert not accepts(G4, EMPTY, F_ex, W4).holds
     assert accepts(v.condensation, EMPTY, F_ex, W4).holds
+
+
+def test_acceptance_is_not_hereditary_in_a_window():
+    # B accepts: each maximal branch through [B] meets F, the branch 0:1 -> 1:1
+    # only at length 2.  Its condensation 0:1 has the one branch 0:1, which
+    # does not, so rejects must try every length, not stop at a short failure.
+    B = parse_seq("0:1;1:1", 1)
+    F = FamilySpec.explicit([B, parse_seq("1:1", 1), parse_seq("0:1,1:1", 1)])
+    B2 = parse_seq("0:1", 1)
+    assert leq(B2, B)
+    assert accepts(B, EMPTY, F, W4).holds
+    assert accepts(B2, EMPTY, F, W4) == AcceptsResult(False, B2)
+    assert rejects(B, EMPTY, F, W4, min_len=2) == RejectsResult(False, B)
+
+
+def first_accepting_by_flat_scan(B, a, F, w, min_len):
+    """The first condensation in the flat list whose span holds the stem and
+    that accepts it, or None."""
+    for B2 in condensations(B, w, min_len):
+        if all(raw(x) in raw_span(B2) for x in a) and accepts(B2, a, F, w).holds:
+            return B2
+    return None
+
+
+def check_against_the_flat_scan(A, a, F, w):
+    """Check rejects and decides against the flat scan for every min_len;
+    returns the statuses."""
+    acc = accepts(A, a, F, w)
+    statuses = []
+    for min_len in range(1, w.len_max + 1):
+        B2 = first_accepting_by_flat_scan(A, a, F, w, min_len)
+        assert rejects(A, a, F, w, min_len) == RejectsResult(B2 is None, B2)
+        if acc.holds:
+            expected = ForcingVerdict("accepts")
+        else:
+            expected = ForcingVerdict("rejects" if B2 is None else "undecided", acc.branch, B2)
+        assert decides(A, a, F, w, min_len) == expected
+        statuses.append(expected.status)
+    return statuses
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_seqs(max_k=2, max_blocks=4), st.data())
+def test_rejects_and_decides_equal_the_flat_scan(A, data):
+    # every min_len, and stems of up to two elements drawn from [A].  Half the
+    # time F holds one extension of the stem by one element, which makes
+    # undecided likely with a nonempty stem too.
+    if len(A) == 0:
+        return
+    w = window_of(A, len_max=3)
+    length = data.draw(st.integers(0, 2))
+    longer = list(raw_sequences(raw_span(A), length + 1))
+    if longer and data.draw(st.booleans()):
+        s = data.draw(st.sampled_from(longer))
+        a, F = to_seq(s[:length], A.k), FamilySpec.explicit([to_seq(s, A.k)])
+    else:
+        pool = list(raw_sequences(raw_span(A), length))
+        a = to_seq(data.draw(st.sampled_from(pool)), A.k) if pool else BlockSeq(A.k, ())
+        F = families(data, A)
+    check_against_the_flat_scan(A, a, F, w)
+
+
+def test_rejects_and_decides_equal_the_flat_scan_for_every_one_step_family():
+    # stem x, F = {x;y}: the condensation x;y accepts, so unless G4 accepts
+    # too, the verdict is undecided up to min_len 2 and rejects past it
+    statuses = []
+    for s in raw_sequences(raw_span(G4), 2):
+        a, F = to_seq(s[:1], 1), FamilySpec.explicit([to_seq(s, 1)])
+        statuses += check_against_the_flat_scan(G4, a, F, W4)
+    assert set(statuses) == {"accepts", "rejects", "undecided"}
 
 
 def test_accepts_rejects_exclusive():
@@ -315,6 +397,17 @@ def test_searches_build_one_span_and_stop_at_the_witness(monkeypatch):
         assert res.alternative == alternative and len(tried) > 2
         assert built == [A]
         assert tried[-1] is res.witness.elems[-1]
+    del built[:], tried[:]
+    res = rejects(A, EMPTY, F_GE2, w)
+    assert built == [A] and tried[-1] is res.condensation.elems[-1]
+    assert format_seq(res.condensation) == "0:1,1:1"
+    del built[:], tried[:]
+    verdict = decides(A, EMPTY, F_GE2, w, min_len=2)
+    assert verdict.status == "undecided" and built == [A]
+    assert format_seq(verdict.condensation) == "0:1,1:1;2:1,3:1"
+    assert tried[-1] is verdict.condensation.elems[-1]
+    del built[:]
+    assert rejects(A, EMPTY, F_EMPTY, w).holds and built == [A]
     built, tried = record_walk(monkeypatch, canonical)
     res = canonicalize_search(EquivRelSpec("size_parity"), A, 2, w)
     assert built == [A] and tried[-1] is res.witness.elems[-1]
@@ -381,15 +474,16 @@ def test_accepts_and_galvin_equal_the_raw_branch_references(A, data):
     a = data.draw(stems(A, w))
     stem = raw_seq(a)
     branches = raw_maximal_branches(raw_span(A), stem, w.len_max)
+    # the stems galvin passes need not lie in [A]
+    branch = forcing._avoiding_branch(span_enumerate(A, w), a, F, w)
+    assert (branch is None) == all(meets(F, b, A.k) for b in branches)
+    if branch is not None:
+        assert raw_seq(branch) in branches and not meets(F, raw_seq(branch), A.k)
     if all(raw(x) in raw_span(A) for x in a):
-        got = accepts(A, a, F, w)
+        assert accepts(A, a, F, w) == AcceptsResult(branch is None, branch)
     else:
         with pytest.raises(IncompatibleStem):
             accepts(A, a, F, w)
-        got = forcing._accepts(A, a, F, w)  # the stems galvin passes need not lie in [A]
-    assert got.holds == all(meets(F, b, A.k) for b in branches)
-    if not got.holds:
-        assert raw_seq(got.branch) in branches and not meets(F, raw_seq(got.branch), A.k)
 
     m = data.draw(st.integers(1, min(2, len(A))))
     expected = DichotomyResult(None, None)
