@@ -19,7 +19,7 @@ from .core import (
     FinkError,
     SpanState,
     Window,
-    first_condensation,
+    extension_tree,
     format_element,
     parse_element,
     read_lines,
@@ -315,12 +315,11 @@ def canonicalize_search(
         return (inner, alive) if alive else None
 
     root = (SpanState.inside(span), list(range(1, len(cands) + 1)))
-    hit, _ = first_condensation(picks, m, root, step)
-    if hit is None:
-        return None
-    B, (_, alive) = hit
-    name, spec = cands[alive[0] - 1]
-    return CanonicalizationResult(name, spec, BlockSeq(k, B), caveat)
+    for B, (_, alive) in extension_tree(picks, BlockSeq(k, ()), m, step, root):
+        if len(B) == m:
+            name, spec = cands[alive[0] - 1]
+            return CanonicalizationResult(name, spec, BlockSeq(k, B), caveat)
+    return None
 
 
 def t_count(k: int) -> int:

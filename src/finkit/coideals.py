@@ -52,8 +52,8 @@ def common_condensation(
     """
     if A.k != B.k:
         raise FinkError(f"level mismatch: {A.k} vs {B.k}")
-    if L < 1:
-        raise FinkError(f"target length must be >= 1, got {L}")
+    if not 1 <= L <= w.len_max:
+        raise FinkError(f"target length {L} outside 1..{w.len_max}")
     shared = [x for x in span_enumerate(B, w) if decompose(x, A) is not None]
     shared.sort(key=lambda x: (x.max_supp, x.min_supp, x.values))
     picks: list[FinkElement] = []

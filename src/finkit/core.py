@@ -326,18 +326,20 @@ def span_enumerate(A: BlockSeq, w: Window) -> list[FinkElement]:
     sorted, and every element is still checked by the FinkElement constructor.
     """
     w.require_inside(A, "block sequence")
-    k = A.k
-    images = [_tetris_images(x) for x in A.elems]
     out: list[FinkElement] = []
-
-    def walk(prefix: list, start: int) -> None:
-        for i in range(start, len(images)):
-            sums = _join(prefix, images[i])
-            out.extend(FinkElement(k, values) for values, zero in sums if zero)
-            walk(sums, i + 1)
-
-    walk([((), False)], 0)
+    _span_walk(A.k, [_tetris_images(x) for x in A.elems], [((), False)], 0, out)
     return out
+
+
+def _span_walk(k: int, images: list, prefix: list, start: int, out: list) -> None:
+    """Append to out the elements of every index set that extends the one
+    whose sums are prefix by blocks from start on, depth first.  A module
+    function, not a closure: a closure that calls itself is a reference
+    cycle, which would keep out alive until the next full collection."""
+    for i in range(start, len(images)):
+        sums = _join(prefix, images[i])
+        out.extend(FinkElement(k, values) for values, zero in sums if zero)
+        _span_walk(k, images, sums, i + 1, out)
 
 
 def decompose(x: FinkElement, A: BlockSeq) -> Optional[Decomposition]:
@@ -403,65 +405,41 @@ def successor_starts(candidates: list[FinkElement]) -> list[int]:
 
 
 def extension_tree(
-    candidates: list[FinkElement], stem: BlockSeq, max_len: int, stop: Callable[[tuple], bool]
-) -> Iterator[tuple[tuple, bool]]:
+    candidates: list[FinkElement], stem: BlockSeq, max_len: int, step: Callable, root
+) -> Iterator[tuple[tuple, object]]:
     """Walk the block-ordered extension tree of stem through candidates, depth first.
 
     Candidates must be in span order (see successor_starts); the first level
     holds those that start after stem ends, which need not lie in their span.
-    A node is the tuple of its elements, stem's first.  Children are tried in
-    candidate order.  Yields (node, True) for a node on which stop(node)
-    holds, without going below it, and (node, False) for a maximal node: one
-    that no candidate extends, or one of max_len elements.  The walk is lazy,
+    A node is the tuple of its elements, stem's first, and carries a state:
+    stem's is root, and step(state, child) returns the child's state, or None
+    to leave out the child and everything below it.  Children are tried in
+    candidate order.  Yields (node, state) for each maximal node kept: one of
+    max_len elements, or one that no candidate extends.  The walk is lazy,
     so a caller may stop at any yield.
     """
     after = successor_starts(candidates)
+    total = len(candidates)
     floor = stem.max_supp
-    total = len(candidates)
-
-    def walk(node, picks):
-        if stop(node):
-            yield node, True
-        elif picks and len(node) < max_len:
-            for i in picks:
-                yield from walk(node + (candidates[i],), range(after[i], total))
+    if len(stem) >= max_len or all(c.min_supp <= floor for c in candidates):
+        yield stem.elems, root
+        return
+    # per node on the current path: its elements, its state, its untried picks
+    stack = [(stem.elems, root, (i for i in range(total) if candidates[i].min_supp > floor))]
+    while stack:
+        node, state, picks = stack[-1]
+        for i in picks:
+            pick = candidates[i]
+            child = step(state, pick)
+            if child is None:
+                continue
+            if len(node) + 1 == max_len or after[i] == total:
+                yield node + (pick,), child
+            else:
+                stack.append((node + (pick,), child, iter(range(after[i], total))))
+                break
         else:
-            yield node, False
-
-    return walk(stem.elems, [i for i, c in enumerate(candidates) if c.min_supp > floor])
-
-
-def first_condensation(candidates: list[FinkElement], m: int, root, step: Callable):
-    """The first length-m block sequence of picks from candidates that step
-    lets through, and the number of picks tried.
-
-    Candidates must be in span order (see successor_starts).  Picks are tried
-    depth first in candidate order, the order of sequences_over from the
-    empty stem.  step(state, pick) returns the state after pick, or None to
-    prune every sequence through it; the walk starts from root.  Returns
-    ((picks, state), nodes) for the first sequence all of whose picks
-    passed, or (None, nodes) when there is none.
-    """
-    after = successor_starts(candidates)
-    total = len(candidates)
-    nodes = 0
-
-    def grow(picks, start, state):
-        nonlocal nodes
-        if len(picks) == m:
-            return picks, state
-        for idx in range(start, total):
-            nodes += 1
-            pick = candidates[idx]
-            nxt = step(state, pick)
-            if nxt is not None:
-                hit = grow(picks + (pick,), after[idx], nxt)
-                if hit is not None:
-                    return hit
-        return None
-
-    hit = grow((), 0, root)
-    return hit, nodes
+            stack.pop()
 
 
 def sequences_over(candidates: list[FinkElement], stem: BlockSeq, n: int):
@@ -473,8 +451,8 @@ def sequences_over(candidates: list[FinkElement], stem: BlockSeq, n: int):
     """
     if n < len(stem):
         raise FinkError(f"target length {n} below stem length {len(stem)}")
-    for node, hit in extension_tree(candidates, stem, n, lambda node: len(node) == n):
-        if hit:
+    for node, _ in extension_tree(candidates, stem, n, lambda state, child: state, True):
+        if len(node) == n:
             yield BlockSeq(stem.k, node)
 
 

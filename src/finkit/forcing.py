@@ -23,7 +23,6 @@ from .core import (
     Window,
     decompose,
     extension_tree,
-    first_condensation,
     format_seq,
     parse_seq,
     read_lines,
@@ -109,26 +108,35 @@ def _require_stem(B: BlockSeq, a: BlockSeq) -> None:
 
 
 def _stem_prefix_member(a: BlockSeq, F: FamilySpec) -> bool:
-    """Does a proper prefix of the stem lie in the family?  One settles every
-    branch at once; the stem itself is the root of the extension tree."""
-    return any(F.contains(a.prefix(t)) for t in range(len(a)))
+    """Does the stem or a prefix of it lie in the family?  One settles every
+    branch at once; the tree walk checks only the nodes below the stem."""
+    return any(F.contains(a.prefix(t)) for t in range(len(a) + 1))
 
 
-def _walk(candidates: list, a: BlockSeq, F: FamilySpec, w: Window):
+def _walk(candidates: list, a: BlockSeq, F: FamilySpec, w: Window, seen: set):
     """The extension tree of a through the span-ordered candidates, cut below
-    each family member: yields (node, True) per member and (node, False) per
-    maximal branch avoiding the family."""
-    return extension_tree(candidates, a, w.len_max, lambda node: F.contains(BlockSeq(a.k, node)))
+    each family member: yields (node, branch) per maximal branch avoiding the
+    family, branch as a BlockSeq, and adds True to seen per member it meets.
+    Once seen holds False as well, every further child is cut."""
+
+    def step(b, x):
+        if len(seen) == 2:
+            return None
+        child = BlockSeq(a.k, b.elems + (x,))
+        if F.contains(child):
+            seen.add(True)
+            return None
+        return child
+
+    return extension_tree(candidates, a, w.len_max, step, a)
 
 
 def _avoiding_branch(candidates: list, a: BlockSeq, F: FamilySpec, w: Window) -> Optional[BlockSeq]:
     """The first maximal branch extending a through the candidates that
     avoids the family, or None when every branch meets it."""
-    if not _stem_prefix_member(a, F):
-        for node, member in _walk(candidates, a, F, w):
-            if not member:
-                return BlockSeq(a.k, node)
-    return None
+    if _stem_prefix_member(a, F):
+        return None
+    return next((branch for _, branch in _walk(candidates, a, F, w, set())), None)
 
 
 def _first_settled(span: list, a: BlockSeq, lengths, settle: Callable):
@@ -150,9 +158,9 @@ def _first_settled(span: list, a: BlockSeq, lengths, settle: Callable):
                 return state
             return settle(sorted(state.span(), key=lambda x: x.values[0][0])) or None
 
-        hit, _ = first_condensation(span, m, SpanState.inside(span), step)
-        if hit is not None:
-            return BlockSeq(a.k, hit[0]), hit[1]
+        for B, verdict in extension_tree(span, BlockSeq(a.k, ()), m, step, SpanState.inside(span)):
+            if len(B) == m:
+                return BlockSeq(a.k, B), verdict
     return None
 
 
@@ -256,11 +264,13 @@ def galvin_dichotomy(
         if prefix_member:
             return 2
         seen = set()  # True: a member, False: a maximal branch avoiding F
-        for _, member in _walk(span_b, a, F, w):
-            seen.add(member)
-            if len(seen) == 2:
-                return None
-        return 1 if True not in seen else 2
+        for _ in _walk(span_b, a, F, w, seen):
+            seen.add(False)
+            if True in seen:
+                break
+        if len(seen) == 2:
+            return None
+        return 2 if True in seen else 1
 
     B, alternative = _first_settled(span_enumerate(A, w), a, (m,), settle) or (None, None)
     return DichotomyResult(alternative, B)

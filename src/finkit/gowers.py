@@ -19,13 +19,12 @@ from .core import (
     FinkError,
     SpanState,
     Window,
-    first_condensation,
+    extension_tree,
     format_element,
     format_seq,
     generators,
     initial_segments,
     read_lines,
-    sequences_over,
     span_enumerate,
     window_elements,
 )
@@ -168,9 +167,13 @@ def _first_monochromatic(f: ColoringSpec, k: int, m: int, candidates: list, root
     """The search of gowers_search and ramsey2_search: the condensation walk
     over span-ordered candidates, pruning a partial B as soon as the objects
     its picks added carry two colors.  extend(state, pick) returns the state
-    with pick appended and the objects to color that the pick adds."""
+    with pick appended and the objects to color that the pick adds.  The
+    picks tried, one step each, are the report's nodes_explored."""
+    nodes = 0
 
     def step(state, pick):
+        nonlocal nodes
+        nodes += 1
         inner, color = state
         inner, added = extend(inner, pick)
         for obj in added:
@@ -181,11 +184,11 @@ def _first_monochromatic(f: ColoringSpec, k: int, m: int, candidates: list, root
                 return None
         return inner, color
 
-    hit, nodes = first_condensation(candidates, m, (root, None), step)
-    if hit is None:
-        return SearchReport(False, None, None, nodes)
-    picks, (_, color) = hit
-    return SearchReport(True, BlockSeq(k, picks), color, nodes)
+    walk = extension_tree(candidates, BlockSeq(k, ()), m, step, (root, None))
+    for picks, (_, color) in walk:
+        if len(picks) == m:
+            return SearchReport(True, BlockSeq(k, picks), color, nodes)
+    return SearchReport(False, None, None, nodes)
 
 
 def gowers_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchReport:
@@ -286,12 +289,11 @@ def verify_finite_gowers(
     # per element, the witnesses whose least significant element it is, each
     # as the other elements that must share its color
     attached: list[list[tuple[int, ...]]] = [[] for _ in elems]
-    for B in sequences_over(span, BlockSeq(k, ()), m):
-        state = root
-        for x in B:
-            state, _ = state.extend(x)
-        members = sorted(index[y.values] for y in state.span())
-        attached[members[0]].append(tuple(members[1:]))
+    walk = extension_tree(span, BlockSeq(k, ()), m, lambda state, x: state.extend(x)[0], root)
+    for B, state in walk:
+        if len(B) == m:
+            members = sorted(index[y.values] for y in state.span())
+            attached[members[0]].append(tuple(members[1:]))
 
     digits = [0] * size
     i = size - 1  # the element whose digit was just assigned

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FinkElement, FinkError, ParseError
+from .core import FinkElement, FinkError, ParseError, _parse_pairs
 
 
 @dataclass(frozen=True)
@@ -116,16 +116,7 @@ def parse_net_function(text: str, k: int, delta: Fraction) -> NetFunction:
     text = text.strip()
     if not text:
         raise ParseError("empty net function string")
-    pairs = []
-    for chunk in text.split(","):
-        left, sep, right = chunk.partition(":")
-        if not sep:
-            raise ParseError(f"bad exponent pair {chunk!r}")
-        try:
-            pairs.append((int(left), int(right)))
-        except ValueError:
-            raise ParseError(f"bad exponent pair {chunk!r}") from None
-    pairs.sort()
+    pairs = sorted(_parse_pairs(text, "exponent"))
     try:
         return NetFunction(k, Fraction(delta), tuple(pairs))
     except FinkError as e:

@@ -237,6 +237,18 @@ def test_top_member(tmp_path):
     assert code == 1
 
 
+def test_top_member_refuses_a_length_outside_the_window(tmp_path):
+    fam = tmp_path / "base.txt"
+    fam.write_text("0:1;1:1;2:1;3:1\n")
+    for length in (0, 3):
+        code, out, err = invoke(
+            ["top-member", "--k", "1", "--nmax", "6", "--lenmax", "2", "--family", str(fam),
+             "--len", str(length), "0:1;1:1;2:1;3:1"]
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: target length {length} outside 1..2\n"
+
+
 def test_diagonal(tmp_path):
     chain = tmp_path / "chain.txt"
     chain.write_text("0:1;1:1;2:1;3:1\n0:1;1:1;2:1;3:1\n")
@@ -253,6 +265,10 @@ def test_theta_commands():
     assert code == 0 and '"0:2,2:1"' in out
     code, out, _ = invoke(["theta-inv", "--k", "2", "0:2,2:1"])
     assert code == 0 and '"0:0,2:1"' in out
+    for text, chunk in (("3", "3"), ("0:1,x:2", "x:2")):
+        code, out, err = invoke(["theta", "--k", "2", text])
+        assert code == 2 and out == ""
+        assert err == f"error: bad exponent pair {chunk!r} in {text!r}\n"
     code, out, _ = invoke(["kfor", "1"])
     assert code == 0 and out.splitlines()[0] == "k=3 delta=1/2"
     code, out, _ = invoke(["kfor", "2"])

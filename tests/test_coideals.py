@@ -117,6 +117,16 @@ def test_common_condensation_matches_bruteforce_maximum():
                 assert len(got) == L
 
 
+def test_common_condensation_refuses_a_length_outside_the_window():
+    # the greedy chain used to return an L-term witness past len_max
+    w = Window(1, 6, 2)
+    A = seq("0:1;1:1;2:1;3:1", 1)
+    assert common_condensation(A, A, 2, w) == A.prefix(2)
+    for L in (0, 3):
+        with pytest.raises(FinkError, match=f"target length {L} outside 1..2"):
+            common_condensation(A, A, L, w)
+
+
 # -- coideal presentations -------------------------------------------------------------
 
 

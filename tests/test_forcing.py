@@ -502,8 +502,9 @@ def test_accepts_and_galvin_equal_the_raw_branch_references(A, data):
 @settings(max_examples=200, deadline=None)
 @given(block_seqs(max_blocks=4), st.data())
 def test_extension_tree_equals_the_raw_references(A, data):
-    # cut at family members: the first member on each path, and the maximal
-    # branches that meet none, in depth-first candidate order
+    # cut below the stem at family members: the first member on each path,
+    # read from the step, and the maximal branches that meet none, in
+    # depth-first candidate order
     if len(A) == 0:
         return
     w = window_of(A, len_max=3)
@@ -514,24 +515,34 @@ def test_extension_tree_equals_the_raw_references(A, data):
     position = {x.values: i for i, x in enumerate(span)}
     raws = raw_span(A)
 
+    def in_family(node, ts):
+        return any(family_on_raw(F, node[:t], A.k) for t in ts)
+
     def first_member(node):
-        return family_on_raw(F, node, A.k) and not any(
-            family_on_raw(F, node[:t], A.k) for t in range(len(stem), len(node))
-        )
+        return in_family(node, [len(node)]) and not in_family(node, range(len(stem) + 1, len(node)))
 
     def avoids(node):
-        return not any(family_on_raw(F, node[:t], A.k) for t in range(len(stem), len(node) + 1))
+        return not in_family(node, range(len(stem) + 1, len(node) + 1))
 
-    walk = list(
-        extension_tree(span, a, w.len_max, lambda node: F.contains(BlockSeq(A.k, node)))
-    )
-    members = [raw_seq(node) for node, hit in walk if hit]
-    maximal = [raw_seq(node) for node, hit in walk if not hit]
-    nodes = [stem] + raw_extensions(raws, stem, w.len_max)
+    met = []  # (node, is a member) in the order the walk meets them
+
+    def step(node, x):
+        child = node + (x,)
+        if F.contains(BlockSeq(A.k, child)):
+            met.append((child, True))
+            return None
+        return child
+
+    for node, state in extension_tree(span, a, w.len_max, step, a.elems):
+        assert state == node
+        met.append((node, False))
+    members = [raw_seq(node) for node, member in met if member]
+    maximal = [raw_seq(node) for node, member in met if not member]
     branches = raw_maximal_branches(raws, stem, w.len_max)
-    assert sorted(members, key=repr) == sorted(filter(first_member, nodes), key=repr)
+    extensions = raw_extensions(raws, stem, w.len_max)
+    assert sorted(members, key=repr) == sorted(filter(first_member, extensions), key=repr)
     assert sorted(maximal, key=repr) == sorted(filter(avoids, branches), key=repr)
-    picks = [tuple(position[x.values] for x in node[len(a) :]) for node, _ in walk]
+    picks = [tuple(position[x.values] for x in node[len(a) :]) for node, _ in met]
     assert picks == sorted(set(picks))
 
 

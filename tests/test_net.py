@@ -109,3 +109,7 @@ def test_parse_and_format():
         parse_net_function("0:1", 2, HALF)  # no unit exponent
     with pytest.raises(ParseError):
         parse_net_function("0-1", 2, HALF)
+    with pytest.raises(ParseError, match=r"bad exponent pair '3' in '3'"):
+        parse_net_function("3", 2, HALF)
+    with pytest.raises(ParseError, match=r"bad exponent pair 'x:2' in '0:1,x:2'"):
+        parse_net_function("0:1,x:2", 2, HALF)

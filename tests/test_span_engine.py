@@ -2,6 +2,7 @@
 walks, checked against references that list and scan everything."""
 
 import random
+import sys
 import zlib
 
 import pytest
@@ -25,7 +26,7 @@ from finkit import (
     window_elements,
 )
 from finkit.canonical import sos_check
-from finkit.core import SpanState, first_condensation, successor_starts
+from finkit.core import SpanState, extension_tree, successor_starts
 from oracles import (
     block_successor_starts,
     ordered_span,
@@ -91,6 +92,13 @@ def test_span_state_grows_inside_the_ambient_span(A, data):
     assert sorted(x.values for x in grown) == sorted(x.values for x in span_enumerate(B, w))
 
 
+def test_span_enumerate_keeps_no_reference_to_its_result():
+    # a self-calling closure held the list in a reference cycle, so every span
+    # outlived its caller until the next full collection
+    span = span_enumerate(generators(1, 6), Window(1, 6, 6))
+    assert sys.getrefcount(span) == 2  # this name and the argument
+
+
 def test_span_state_refuses_an_element_outside_the_ambient_span():
     A = parse_seq("0:2,1:1;2:2", 2)
     state = SpanState.inside(span_enumerate(A, window_of(A)))
@@ -117,32 +125,43 @@ def test_span_state_keeps_earlier_sums_without_copying():
 
 def record_walk(monkeypatch, module):
     """Record, in a searching module, the inputs of every span it builds and
-    every pick its condensation walk tries, in order."""
+    every pick its condensation walk tries, in order.  The condensation walk
+    is the extension-tree walk whose root holds a SpanState; the walks of
+    each B's own tree, from a BlockSeq stem, are not recorded."""
     built, tried = [], []
-    walk, span_of = module.first_condensation, module.span_enumerate
+    walk, span_of = module.extension_tree, module.span_enumerate
 
-    def recorded_walk(candidates, m, root, step):
+    def recorded_walk(candidates, stem, max_len, step, root):
+        if not isinstance(root[0] if isinstance(root, tuple) else root, SpanState):
+            return walk(candidates, stem, max_len, step, root)
+
         def recorded_step(state, pick):
             tried.append(pick)
             return step(state, pick)
 
-        return walk(candidates, m, root, recorded_step)
+        return walk(candidates, stem, max_len, recorded_step, root)
 
     def recorded_span(B, w):
         built.append(B)
         return span_of(B, w)
 
-    monkeypatch.setattr(module, "first_condensation", recorded_walk)
+    monkeypatch.setattr(module, "extension_tree", recorded_walk)
     monkeypatch.setattr(module, "span_enumerate", recorded_span)
     return built, tried
 
 
-@settings(max_examples=150, deadline=None)
-@given(block_seqs(max_blocks=4), st.integers(0, 4), st.integers(2, 4), st.binary(max_size=4))
-def test_first_condensation_equals_a_flat_pruned_scan(A, m, modulus, salt):
-    # a pseudo-random step that prunes some prefixes: the walk tries exactly
-    # the picks a scan of the whole span at every level tries, in that order
-    span = span_enumerate(A, window_of(A))
+@settings(max_examples=200, deadline=None)
+@given(block_seqs(max_blocks=4), st.data())
+def test_extension_tree_equals_a_flat_pruned_scan(A, data):
+    # a pseudo-random step that prunes some children: the walk tries exactly
+    # the children a scan of the whole span at every level tries, in that
+    # order, and yields the kept maximal nodes, dead ends included
+    w = window_of(A)
+    span = span_enumerate(A, w)
+    a = data.draw(stems(A, w))
+    max_len = data.draw(st.integers(0, 6))
+    modulus = data.draw(st.integers(2, 4))
+    salt = data.draw(st.binary(max_size=4))
 
     def passes(node):
         return zlib.crc32(repr([x.values for x in node]).encode() + salt) % modulus != 0
@@ -150,28 +169,24 @@ def test_first_condensation_equals_a_flat_pruned_scan(A, m, modulus, salt):
     tried = []
 
     def flat(node):
-        if len(node) == m:
-            return node
-        floor = node[-1].max_supp if node else -1
-        for c in span:
-            if c.min_supp > floor:
-                tried.append(node + (c,))
-                if passes(node + (c,)):
-                    hit = flat(node + (c,))
-                    if hit is not None:
-                        return hit
-        return None
+        children = [node + (c,) for c in span if c.min_supp > (node[-1].max_supp if node else -1)]
+        if len(node) >= max_len or not children:
+            yield node
+            return
+        for child in children:
+            tried.append(child)
+            if passes(child):
+                yield from flat(child)
 
-    expected = flat(())
+    expected = [(node, node) for node in flat(a.elems)]
     walked = []
 
     def step(node, pick):
         walked.append(node + (pick,))
         return node + (pick,) if passes(node + (pick,)) else None
 
-    hit, nodes = first_condensation(span, m, (), step)
-    assert walked == tried and nodes == len(tried)
-    assert hit == (None if expected is None else (expected, expected))
+    assert list(extension_tree(span, a, max_len, step, a.elems)) == expected
+    assert walked == tried
 
 
 @settings(max_examples=150, deadline=None)
