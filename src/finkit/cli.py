@@ -31,7 +31,7 @@ from .core import (
     parse_element,
     parse_seq,
     read_lines,
-    span_enumerate,
+    span_texts,
     tetris,
 )
 
@@ -153,8 +153,7 @@ def _cmd_span(args):
         raise FinkError(
             f"the span of {len(A)} blocks at k={w.k} has more than {SPAN_MAX_ELEMENTS} elements"
         )
-    elems = [format_element(x) for x in span_enumerate(A, w)]
-    return {"command": "span", "window": _window_dict(w), "elements": elems}, EXIT_OK
+    return {"command": "span", "window": _window_dict(w), "elements": span_texts(A, w)}, EXIT_OK
 
 
 @_command("member", "decompose an element over a block sequence",

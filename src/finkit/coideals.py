@@ -41,6 +41,11 @@ def span_peaks(A: BlockSeq, w: Window) -> set[int]:
     return {pos for x in span_enumerate(A, w) for pos in x.peaks()}
 
 
+def _require_length(L: int, w: Window) -> None:
+    if not 1 <= L <= w.len_max:
+        raise FinkError(f"target length {L} outside 1..{w.len_max}")
+
+
 def common_condensation(
     A: BlockSeq, B: BlockSeq, L: int, w: Window
 ) -> Optional[BlockSeq]:
@@ -52,9 +57,13 @@ def common_condensation(
     """
     if A.k != B.k:
         raise FinkError(f"level mismatch: {A.k} vs {B.k}")
-    if not 1 <= L <= w.len_max:
-        raise FinkError(f"target length {L} outside 1..{w.len_max}")
-    shared = [x for x in span_enumerate(B, w) if decompose(x, A) is not None]
+    _require_length(L, w)
+    return _greedy_chain(A, span_enumerate(B, w), L)
+
+
+def _greedy_chain(A: BlockSeq, span: list[FinkElement], L: int) -> Optional[BlockSeq]:
+    """common_condensation of A with the B whose span is given."""
+    shared = [x for x in span if decompose(x, A) is not None]
     shared.sort(key=lambda x: (x.max_supp, x.min_supp, x.values))
     picks: list[FinkElement] = []
     end = -1
@@ -68,9 +77,18 @@ def common_condensation(
 
 
 def first_common_condensation(base, B: BlockSeq, L: int, w: Window) -> Optional[BlockSeq]:
-    """The common condensation of B with the first base sequence that has one."""
+    """The common condensation of B with the first base sequence that has one.
+
+    B's span is built once, and only when the base is nonempty.
+    """
+    _require_length(L, w)
+    span = None
     for A in base:
-        found = common_condensation(A, B, L, w)
+        if A.k != B.k:
+            raise FinkError(f"level mismatch: {A.k} vs {B.k}")
+        if span is None:
+            span = span_enumerate(B, w)
+        found = _greedy_chain(A, span, L)
         if found is not None:
             return found
     return None
@@ -92,6 +110,9 @@ class CoidealPresentation:
     peak_pred: Optional[Callable[[set[int]], bool]] = None
 
     def contains(self, A: BlockSeq, L: int = 1) -> bool:
+        """Does A belong, with a witness of length L for "top_of"?  L must lie
+        in 1..len_max for every kind."""
+        _require_length(L, self.window)
         if self.kind == "all":
             return True
         if self.kind == "top_of":
@@ -114,8 +135,7 @@ def partition_refine(A: BlockSeq, mask, L: int, w: Window) -> RefineResult:
     works when it has at least L terms.  Otherwise no side has one: a block
     sequence over the span of a side has at most as many terms as the side.
     """
-    if not 1 <= L <= w.len_max:
-        raise FinkError(f"target length {L} outside 1..{w.len_max}")
+    _require_length(L, w)
     mask = list(mask)
     if len(mask) != len(A):
         raise FinkError(f"mask length {len(mask)} differs from sequence length {len(A)}")
@@ -179,10 +199,15 @@ def diagonal_build(chain: list[BlockSeq], w: Window) -> BlockSeq:
     k = chain[0].k
     picks: list[FinkElement] = []
     end = -1
+    entry, span = None, []
     for step in range(w.len_max):
         An = _chain_at(chain, max(step, end))
+        # the index never falls, and the entries of a decreasing chain equal
+        # to An are a run, so An's span is built once, when the run starts
+        if An != entry:
+            entry, span = An, span_enumerate(An, w)
         pick = None
-        for x in span_enumerate(An, w):
+        for x in span:
             if x.min_supp > end and x.min_supp >= step:
                 pick = x
                 break

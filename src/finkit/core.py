@@ -20,7 +20,9 @@ elements for a sequence.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -248,21 +250,26 @@ def generators(k: int, n: int) -> BlockSeq:
 
 
 def _tetris_images(x: FinkElement) -> list[tuple[tuple[int, int], ...]]:
-    """The values of T^0(x), ..., T^(k-1)(x): the images a span may use."""
-    return [tetris(x, j).values for j in range(x.k)]
+    """The values of T^0(x), ..., T^(k-1)(x): the images a span may use.
+
+    Read off x.values as tetris computes them; each image attains its own
+    level k - j, so none is empty.  T^0(x) is x.values itself, so sums
+    share x's pairs instead of copies."""
+    return [x.values] + [tuple((p, v - j) for p, v in x.values if v > j) for j in range(1, x.k)]
 
 
 def _join(sums: Iterable, images: list) -> list:
     """Partial block sums extended by one more block, given its tetris images.
 
-    A sum is (values, has a zero exponent), and sums are read once.  The
-    block starts after every position in sums, so joining keeps positions
-    sorted.  Sums come outermost and the exponent innermost: extending sums
-    listed in exponent-vector order keeps that order.
+    A sum is (its images joined, has a zero exponent), and sums are read
+    once.  The images are anything that + concatenates: values tuples, or
+    their text.  The block starts after every position in sums, so joining
+    keeps positions sorted.  Sums come outermost and the exponent innermost:
+    extending sums listed in exponent-vector order keeps that order.
     """
     return [
-        (values + image, zero or j == 0)
-        for values, zero in sums
+        (joined + image, zero or j == 0)
+        for joined, zero in sums
         for j, image in enumerate(images)
     ]
 
@@ -319,27 +326,49 @@ def span_enumerate(A: BlockSeq, w: Window) -> list[FinkElement]:
     function and break decomposition uniqueness).  Distinct selections always
     yield distinct elements, so the result is duplicate free.
 
-    Built in one depth-first pass over the index sets, which visits them in
-    exactly that order.  The tetris images of each block are computed once;
-    an index set's sums are its parent's sums joined with every image of the
-    newly added block.  Supports are separated, so joining keeps positions
-    sorted, and every element is still checked by the FinkElement constructor.
+    Built in one depth-first pass over the index sets (see _span_walk), and
+    every element is still checked by the FinkElement constructor.
     """
     w.require_inside(A, "block sequence")
     out: list[FinkElement] = []
-    _span_walk(A.k, [_tetris_images(x) for x in A.elems], [((), False)], 0, out)
+    images = [_tetris_images(x) for x in A.elems]
+    _span_walk(images, [((), False)], 0, out, functools.partial(FinkElement, A.k))
     return out
 
 
-def _span_walk(k: int, images: list, prefix: list, start: int, out: list) -> None:
-    """Append to out the elements of every index set that extends the one
-    whose sums are prefix by blocks from start on, depth first.  A module
-    function, not a closure: a closure that calls itself is a reference
-    cycle, which would keep out alive until the next full collection."""
+def span_texts(A: BlockSeq, w: Window) -> list[str]:
+    """The texts format_element gives the elements of span_enumerate(A, w), in
+    that order, built without a FinkElement per element.
+
+    Each tetris image of each block is formatted once, as ",pos:val" pairs,
+    and an element's text is its images' texts joined with the leading comma
+    dropped.  Valid by construction: each image attains its own level, the
+    blocks' supports are separated and some exponent is 0.
+    """
+    w.require_inside(A, "block sequence")
+    out: list[str] = []
+    images = [
+        ["".join(f",{p}:{v}" for p, v in image) for image in _tetris_images(x)]
+        for x in A.elems
+    ]
+    _span_walk(images, [("", False)], 0, out, operator.itemgetter(slice(1, None)))
+    return out
+
+
+def _span_walk(images: list, prefix: list, start: int, out: list, wrap: Callable) -> None:
+    """Append to out, as wrap(sum), the elements of every index set that
+    extends the one whose sums are prefix by blocks from start on.
+
+    images holds each block's k tetris images, in whatever form the caller
+    joins: values tuples or text.  The walk is depth first, so it visits
+    index sets in span order, and an index set's sums are its parent's sums
+    joined with every image of the newly added block.  A module function,
+    not a closure: a closure that calls itself is a reference cycle, which
+    would keep out alive until the next full collection."""
     for i in range(start, len(images)):
         sums = _join(prefix, images[i])
-        out.extend(FinkElement(k, values) for values, zero in sums if zero)
-        _span_walk(k, images, sums, i + 1, out)
+        out.extend(wrap(joined) for joined, zero in sums if zero)
+        _span_walk(images, sums, i + 1, out, wrap)
 
 
 def decompose(x: FinkElement, A: BlockSeq) -> Optional[Decomposition]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from finkit import cli, parse_element, t_count
+from finkit import FinkElement, cli, parse_element, t_count
 from finkit.cli import TK_MAX_K, _cmd_tk, render_text, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -399,6 +399,34 @@ def test_span_bound_is_the_exact_span_size(monkeypatch):
     code, out, err = invoke(argv)
     assert (code, out) == (2, "")
     assert err == "error: the span of 3 blocks at k=2 has more than 18 elements\n"
+
+
+def test_span_checks_its_size_then_the_window():
+    # 21 blocks past n_max=2: the size bound speaks first
+    seq = ";".join(f"{i}:1" for i in range(21))
+    code, out, err = invoke(["span", "--k", "1", "--nmax", "2", seq])
+    assert (code, out) == (2, "")
+    assert err == "error: the span of 21 blocks at k=1 has more than 1048576 elements\n"
+    code, out, err = invoke(["span", "--k", "1", "--nmax", "2", "0:1;5:1"])
+    assert (code, out) == (2, "")
+    assert err == "error: block sequence 0:1;5:1 has support past window n_max=2\n"
+
+
+def test_span_builds_no_element_per_span_element(monkeypatch):
+    # the texts are joined from per-block image texts; only parsing the
+    # input validates FinkElements
+    built = []
+    check = FinkElement.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(FinkElement, "__post_init__", counted)
+    seq = ";".join(f"{2 * i}:1" for i in range(12))
+    code, out, _ = invoke(["span", "--k", "1", "--nmax", "30", seq])
+    assert code == 0 and len(out.splitlines()) == 1 + 4095
+    assert len(built) < 100
 
 
 # sha256 of the stdout of --help ("" is the top level) and of the stderr of

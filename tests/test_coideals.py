@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from finkit import coideals
 from finkit import (
     BlockSeq,
     CoidealPresentation,
@@ -162,6 +163,61 @@ def test_top_of_uses_the_first_base_with_a_common_condensation():
     assert first_common_condensation((), B, 2, w) is None
     assert CoidealPresentation("top_of", w, base=base).contains(B, L=2)
     assert not CoidealPresentation("top_of", w, base=(short,)).contains(B, L=2)
+
+
+def test_membership_refuses_a_length_outside_the_window():
+    # an empty base, and the kinds that never build a condensation, used to
+    # answer for any L
+    w = Window(1, 4, 2)
+    B = generators(1, 4)
+    presentations = [
+        CoidealPresentation("all", w),
+        CoidealPresentation("mu_over", w, peak_pred=lambda s: True),
+        CoidealPresentation("top_of", w, base=(B,)),
+        CoidealPresentation("top_of", w),
+    ]
+    for L in (-1, 0, w.len_max + 1):
+        for base in ((), (B,)):
+            with pytest.raises(FinkError, match=f"target length {L} outside 1..2"):
+                first_common_condensation(base, B, L, w)
+        for coideal in presentations:
+            with pytest.raises(FinkError, match=f"target length {L} outside 1..2"):
+                coideal.contains(B, L=L)
+
+
+def count_spans(monkeypatch):
+    """The sequences whose spans coideals builds, in order."""
+    built = []
+    span_of = coideals.span_enumerate
+
+    def recorded(B, w):
+        built.append(B)
+        return span_of(B, w)
+
+    monkeypatch.setattr(coideals, "span_enumerate", recorded)
+    return built
+
+
+def test_top_of_builds_the_span_once(monkeypatch):
+    w = Window(1, 6, 6)
+    B = generators(1, 6)
+    base = (seq("5:1", 1), seq("4:1", 1), seq("0:1;2:1;4:1", 1))
+    expected = common_condensation(base[2], B, 2, w)
+    built = count_spans(monkeypatch)
+    assert first_common_condensation(base, B, 2, w) == expected
+    assert built == [B]
+    built.clear()
+    assert first_common_condensation((), B, 2, w) is None and built == []
+
+
+def test_diagonal_builds_each_chain_entry_once(monkeypatch):
+    w = Window(1, 8, 6)
+    G = generators(1, 8)
+    chain = [G, G, BlockSeq(1, G.elems[2:]), BlockSeq(1, G.elems[2:]), BlockSeq(1, G.elems[5:])]
+    built = count_spans(monkeypatch)
+    C = diagonal_build(chain, w)
+    assert len(built) == len(set(built)) == 3
+    assert diagonalizes_check(C, chain, w).ok
 
 
 def test_unknown_kind():

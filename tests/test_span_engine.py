@@ -6,7 +6,7 @@ import sys
 import zlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finkit import (
     BlockSeq,
@@ -19,6 +19,7 @@ from finkit import (
     gowers_search,
     initial_segments,
     neighborhood,
+    parse_element,
     parse_seq,
     ramsey2_search,
     sequences_over,
@@ -26,7 +27,7 @@ from finkit import (
     window_elements,
 )
 from finkit.canonical import sos_check
-from finkit.core import SpanState, extension_tree, successor_starts
+from finkit.core import SpanState, extension_tree, span_texts, successor_starts
 from oracles import (
     block_successor_starts,
     ordered_span,
@@ -69,6 +70,19 @@ def test_span_equals_ordered_reference(A):
     assert [x.values for x in got] == ordered_span(A)
     assert len(got) == (A.k + 1) ** len(A) - A.k ** len(A)
     assert {raw(x) for x in got} == raw_span(A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_seqs())
+@example(BlockSeq(2, ()))
+def test_span_texts_equal_the_formatted_span(A):
+    # composed text is valid by construction; the FinkElement constructor,
+    # reached through parse_element, stays the check that it is
+    w = window_of(A)
+    span = span_enumerate(A, w)
+    texts = span_texts(A, w)
+    assert texts == [format_element(x) for x in span]
+    assert [parse_element(text, A.k) for text in texts] == span
 
 
 @settings(max_examples=150, deadline=None)
