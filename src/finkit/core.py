@@ -20,11 +20,9 @@ elements for a sequence.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
-import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 
 class FinkError(Exception):
@@ -104,6 +102,19 @@ class FinkElement:
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+_set_k, _set_values = FinkElement.k.__set__, FinkElement.values.__set__
+
+
+def _composed_element(k: int, values: tuple) -> FinkElement:
+    """A FinkElement whose values are valid by construction, built without
+    re-running the checks of __post_init__: a sum of a validated A's tetris
+    images with some exponent 0 (see span_enumerate)."""
+    x = object.__new__(FinkElement)
+    _set_k(x, k)
+    _set_values(x, values)
+    return x
 
 
 @dataclass(frozen=True)
@@ -244,6 +255,15 @@ def block_sum(xs, k: Optional[int] = None) -> FinkElement:
     return validate_element(merged.items(), k)
 
 
+def _composed_seq(k: int, elems: tuple) -> BlockSeq:
+    """A BlockSeq of level-k elements already known to be block ordered,
+    built without re-running the checks of __post_init__."""
+    a = object.__new__(BlockSeq)
+    object.__setattr__(a, "k", k)
+    object.__setattr__(a, "elems", elems)
+    return a
+
+
 def generators(k: int, n: int) -> BlockSeq:
     """The first n unit generators: value k at position i, zero elsewhere."""
     return BlockSeq(k, tuple(FinkElement(k, ((i, k),)) for i in range(n)))
@@ -258,22 +278,6 @@ def _tetris_images(x: FinkElement) -> list[tuple[tuple[int, int], ...]]:
     return [x.values] + [tuple((p, v - j) for p, v in x.values if v > j) for j in range(1, x.k)]
 
 
-def _join(sums: Iterable, images: list) -> list:
-    """Partial block sums extended by one more block, given its tetris images.
-
-    A sum is (its images joined, has a zero exponent), and sums are read
-    once.  The images are anything that + concatenates: values tuples, or
-    their text.  The block starts after every position in sums, so joining
-    keeps positions sorted.  Sums come outermost and the exponent innermost:
-    extending sums listed in exponent-vector order keeps that order.
-    """
-    return [
-        (joined + image, zero or j == 0)
-        for joined, zero in sums
-        for j, image in enumerate(images)
-    ]
-
-
 class SpanState:
     """The span of a block sequence grown one block at a time, inside the
     already built span of an ambient A that the blocks condense.
@@ -282,7 +286,7 @@ class SpanState:
     as one chunk per block; sums with a zero exponent are span elements, the
     rest may still become one when a later block joins with exponent 0.  A
     span element is not built again: it is looked up, by its values, among
-    the elements of A's span, which span_enumerate built and validated once.
+    the elements of A's span, which span_enumerate built once from A.
     The elements each block added are kept too, one list per block.
     """
 
@@ -305,7 +309,16 @@ class SpanState:
         Raises FinkError when an added element lies outside A's span, which
         cannot happen while the blocks so far condense A.
         """
-        sums = _join(itertools.chain.from_iterable(self.sums), _tetris_images(block))
+        # A sum is (its images joined, has a zero exponent).  The block starts
+        # after every position in the sums so far, so joining keeps positions
+        # sorted; sums outermost and the exponent innermost keep the sums in
+        # exponent-vector order.
+        images = _tetris_images(block)
+        sums = [
+            (joined + image, zero or j == 0)
+            for joined, zero in itertools.chain.from_iterable(self.sums)
+            for j, image in enumerate(images)
+        ]
         try:
             fresh = [self.elements[values] for values, zero in sums if zero]
         except KeyError:
@@ -326,49 +339,67 @@ def span_enumerate(A: BlockSeq, w: Window) -> list[FinkElement]:
     function and break decomposition uniqueness).  Distinct selections always
     yield distinct elements, so the result is duplicate free.
 
-    Built in one depth-first pass over the index sets (see _span_walk), and
-    every element is still checked by the FinkElement constructor.
+    Built in one pass over the blocks (see _span_walk).  A is validated at
+    the boundary, and each element is composed from its images, not checked
+    again: each image attains its own level, the blocks' supports are
+    separated and some exponent is 0, so every sum is in FIN_k.
     """
     w.require_inside(A, "block sequence")
-    out: list[FinkElement] = []
     images = [_tetris_images(x) for x in A.elems]
-    _span_walk(images, [((), False)], 0, out, functools.partial(FinkElement, A.k))
-    return out
+    return [_composed_element(A.k, values) for values in _span_walk(images, images)]
 
 
 def span_texts(A: BlockSeq, w: Window) -> list[str]:
     """The texts format_element gives the elements of span_enumerate(A, w), in
     that order, built without a FinkElement per element.
 
-    Each tetris image of each block is formatted once, as ",pos:val" pairs,
-    and an element's text is its images' texts joined with the leading comma
-    dropped.  Valid by construction: each image attains its own level, the
-    blocks' supports are separated and some exponent is 0.
+    Each tetris image of each block is formatted once, as "pos:val" pairs,
+    and an element's text is its images' texts joined by commas.  Valid by
+    construction, as in span_enumerate.
     """
     w.require_inside(A, "block sequence")
-    out: list[str] = []
     images = [
-        ["".join(f",{p}:{v}" for p, v in image) for image in _tetris_images(x)]
-        for x in A.elems
+        [",".join(f"{p}:{v}" for p, v in image) for image in _tetris_images(x)] for x in A.elems
     ]
-    _span_walk(images, [("", False)], 0, out, operator.itemgetter(slice(1, None)))
-    return out
+    return _span_walk(images, [[text + "," for text in texts] for texts in images])
 
 
-def _span_walk(images: list, prefix: list, start: int, out: list, wrap: Callable) -> None:
-    """Append to out, as wrap(sum), the elements of every index set that
-    extends the one whose sums are prefix by blocks from start on.
+def _span_walk(images: list, heads: list) -> list:
+    """The span's sums with some exponent 0, in span order, built from the
+    last block back with one list comprehension per block.
 
-    images holds each block's k tetris images, in whatever form the caller
-    joins: values tuples or text.  The walk is depth first, so it visits
-    index sets in span order, and an index set's sums are its parent's sums
-    joined with every image of the newly added block.  A module function,
-    not a closure: a closure that calls itself is a reference cycle, which
-    would keep out alive until the next full collection."""
-    for i in range(start, len(images)):
-        sums = _join(prefix, images[i])
-        out.extend(wrap(joined) for joined, zero in sums if zero)
-        _span_walk(images, sums, i + 1, out, wrap)
+    images[s] holds block s's k tetris images, in whatever form the caller
+    joins with +: values tuples or text.  heads[s] holds the same images as
+    they stand in front of a later block's part (for text, with the comma
+    between the two).  The index sets over the blocks from s on are, in span
+    order: {s}; {s} joined in front of each index set over the blocks after
+    s; then those index sets themselves.  Each index set is a group of sums,
+    one per exponent vector in product order, so whether a sum has some
+    exponent 0 depends only on its place in its group.  At k = 1 each group
+    is one sum with exponent 0, so the sums are one flat list, built in
+    reverse span order so that each block only appends to it.
+    """
+    if not images:
+        return []
+    k = len(images[0])
+    if k == 1:
+        sums: list = []
+        for (image,), (head,) in zip(reversed(images), reversed(heads)):
+            # the sums so far with the image in front, then the image alone;
+            # islice stops at the sums there were before this block
+            sums.extend(map(head.__add__, itertools.islice(sums, len(sums))))
+            sums.append(image)
+        sums.reverse()
+        return sums
+    groups: list = []
+    for block, ahead in zip(reversed(images), reversed(heads)):
+        joined = [[head + tail for head in ahead for tail in group] for group in groups]
+        groups = [block] + joined + groups
+    # per group size k^t, which exponent vectors have some 0
+    zeros = {k: [True] + [False] * (k - 1)}
+    for t in range(1, len(images)):
+        zeros[k ** (t + 1)] = [True] * k**t + zeros[k**t] * (k - 1)
+    return [s for group in groups for s in itertools.compress(group, zeros[len(group)])]
 
 
 def decompose(x: FinkElement, A: BlockSeq) -> Optional[Decomposition]:

@@ -8,6 +8,7 @@ miss only means the window was too small, never a refutation.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -19,6 +20,7 @@ from .core import (
     FinkError,
     SpanState,
     Window,
+    _composed_seq,
     extension_tree,
     format_element,
     format_seq,
@@ -163,20 +165,30 @@ def _heads(layers, limit: int, length: int):
                 yield head + (y,)
 
 
-def _first_monochromatic(f: ColoringSpec, k: int, m: int, candidates: list, root, extend):
+def _first_monochromatic(
+    f: ColoringSpec, k: int, m: int, candidates: list, root, extend, leads: bool = False
+):
     """The search of gowers_search and ramsey2_search: the condensation walk
     over span-ordered candidates, pruning a partial B as soon as the objects
     its picks added carry two colors.  extend(state, pick) returns the state
-    with pick appended and the objects to color that the pick adds.  The
-    picks tried, one step each, are the report's nodes_explored."""
+    with pick appended and the objects to color that the pick adds.  With
+    leads, the first of those objects is the pick itself: it is colored
+    before extend runs, so a pick that clashes on its own color costs no
+    extend, and the colors are asked for in the same order.  The picks
+    tried, one step each, are the report's nodes_explored."""
     nodes = 0
 
     def step(state, pick):
         nonlocal nodes
         nodes += 1
         inner, color = state
+        if leads:
+            c = f.color(pick)
+            if color is not None and c != color:
+                return None
+            color = c
         inner, added = extend(inner, pick)
-        for obj in added:
+        for obj in itertools.islice(added, leads, None):
             c = f.color(obj)
             if color is None:
                 color = c
@@ -206,8 +218,9 @@ def gowers_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRepo
         raise FinkError(f"target length {m} outside 1..{w.len_max}")
     f.check_total(w)
     candidates = span_enumerate(A, w)
+    # a pick's first added element is the pick: the empty sum joined with T^0
     return _first_monochromatic(
-        f, A.k, m, candidates, SpanState.inside(candidates), SpanState.extend
+        f, A.k, m, candidates, SpanState.inside(candidates), SpanState.extend, leads=True
     )
 
 
@@ -226,12 +239,15 @@ def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRep
 
     def extend(state, pick):
         # A sequence that uses an element the pick adds ends with it; its other
-        # terms lie in the span of the picks that end before that element starts.
+        # terms lie in the span of the picks that end before that element
+        # starts, so it is block ordered by construction.
         span, layers, ends = state
         span, fresh = span.extend(pick)
         layer = [(x, bisect_left(ends, x.min_supp)) for x in fresh]
         added = (
-            BlockSeq(k, head + (x,)) for x, before in layer for head in _heads(layers, before, n - 1)
+            _composed_seq(k, head + (x,))
+            for x, before in layer
+            for head in _heads(layers, before, n - 1)
         )
         return (span, layers + (layer,), ends + (pick.max_supp,)), added
 

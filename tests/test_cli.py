@@ -117,6 +117,13 @@ def test_gowers_verify_reports():
     assert code == 1 and "failing_coloring:" in out
 
 
+def test_gowers_verify_decides_k2_n4_past_the_default_budget():
+    # the least failing coloring, read as a base-2 number, is 524287224
+    argv = ["gowers-verify", "--k", "2", "--nmax", "4", "--m", "2", "--budget", str(2**300)]
+    code, out, _ = invoke(argv)
+    assert code == 1 and "colorings_checked = 524287225" in out.splitlines()
+
+
 def test_gowers_verify_target_length_zero_exits_2():
     code, out, err = invoke(["gowers-verify", "--k", "1", "--nmax", "3", "--m", "0"])
     assert code == 2 and out == ""

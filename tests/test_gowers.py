@@ -262,6 +262,58 @@ def test_searches_color_the_span_elements_themselves(monkeypatch):
     assert colored and all(id(x) in ids for s in colored for x in s.elems)
 
 
+@pytest.mark.parametrize(
+    "k, n, r, m, nodes, calls",
+    [(1, 15, 3, 4, 24586, 32789), (2, 9, 2, 4, 6313, 9526), (1, 8, 3, 3, 1033, 1290)],
+)
+def test_gowers_nodes_and_color_calls_are_pinned(k, n, r, m, nodes, calls):
+    # a pick is pruned on its own color before its span grows: the same steps
+    # and the same color calls as coloring every element it adds
+    size = ColoringSpec(1, r, "size_mod")
+    colored = []
+
+    def color(x):
+        colored.append(x)
+        return size.color(x)
+
+    rep = gowers_search(ColoringSpec.from_function(color, r), generators(k, n), m, Window(k, n, n))
+    assert (rep.nodes_explored, len(colored)) == (nodes, calls)
+
+
+def count_checks(monkeypatch, cls):
+    """Count the calls of cls.__post_init__, the validation of its instances."""
+    calls = []
+    check = cls.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return calls
+
+
+def test_searches_do_not_check_composed_objects_again(monkeypatch):
+    # A is validated at the boundary; its span elements, and the sequences
+    # ramsey2 colors, are composed from it and not checked again
+    A = generators(1, 12)
+    checked = count_checks(monkeypatch, FinkElement)
+    rep = gowers_search(ColoringSpec(1, 3, "size_mod"), A, 4, Window(1, 12, 12))
+    assert rep.found and len(checked) < 100
+
+    A = generators(1, 8)
+    checked = count_checks(monkeypatch, BlockSeq)
+    colored = []
+
+    def color(s):
+        colored.append(s)
+        return ColoringSpec(2, 2, "size_mod").color(s)
+
+    rep = ramsey2_search(ColoringSpec.from_function(color, 2, 2), A, 3, Window(1, 8, 8))
+    assert (rep.nodes_explored, len(colored)) == (485, 775) and len(checked) < 10
+    assert all(type(s) is BlockSeq and BlockSeq(s.k, s.elems) == s for s in colored)
+
+
 def test_verify_color_permutation_equivariance():
     # relabeling colors cannot change whether a witness exists
     w = Window(1, 3, 3)

@@ -63,17 +63,25 @@ def window_of(A: BlockSeq, len_max: int = 8) -> Window:
     return Window(A.k, A.max_supp + 1 if len(A) else 1, len_max)
 
 
+# k = 1 spans of up to 10 blocks take the walk's flat path at more sizes
+spannable = st.one_of(block_seqs(), block_seqs(max_k=1, max_blocks=10))
+
+
 @settings(max_examples=150, deadline=None)
-@given(block_seqs())
+@given(spannable)
 def test_span_equals_ordered_reference(A):
+    # the elements are composed without the checks of __post_init__; the
+    # validating constructor accepts each one
     got = span_enumerate(A, window_of(A))
     assert [x.values for x in got] == ordered_span(A)
     assert len(got) == (A.k + 1) ** len(A) - A.k ** len(A)
     assert {raw(x) for x in got} == raw_span(A)
+    assert all(type(x) is FinkElement for x in got)
+    assert got == [FinkElement(A.k, x.values) for x in got]
 
 
 @settings(max_examples=150, deadline=None)
-@given(block_seqs())
+@given(spannable)
 @example(BlockSeq(2, ()))
 def test_span_texts_equal_the_formatted_span(A):
     # composed text is valid by construction; the FinkElement constructor,
