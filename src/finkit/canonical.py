@@ -21,6 +21,7 @@ from .core import (
     Window,
     extension_tree,
     format_element,
+    int_param,
     parse_element,
     read_lines,
     span_enumerate,
@@ -97,33 +98,27 @@ def sos_check(a: FinkElement, zero_convention: str = "support-boundary") -> SosR
         raise FinkError(f"unknown zero convention {zero_convention!r}")
     st = level_stats(a)
     k = a.k
-    for i in range(1, k + 1):
-        if st.min_level(i) is None:
-            return SosResult(False, "range")
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            if not st.min_level(i) < st.min_level(j):
-                return SosResult(False, "nesting")
-            if not st.max_level(j) < st.max_level(i):
-                return SosResult(False, "nesting")
+    if None in st.mins:
+        return SosResult(False, "range")
+    # consecutive levels nest exactly when every pair of levels does
+    if any(st.mins[i] >= st.mins[i + 1] or st.maxs[i + 1] >= st.maxs[i] for i in range(k - 1)):
+        return SosResult(False, "nesting")
+    vec = [0] * (a.max_supp + 2)  # the values at 0..max_supp + 1, a zero past the support
+    for pos, val in a.values:
+        vec[pos] = val
     if zero_convention == "support-boundary":
         lo0, hi0 = a.min_supp, a.max_supp
     else:
-        zeros = [n for n in range(a.max_supp + 2) if a.value_at(n) == 0]
-        lo0, hi0 = zeros[0], zeros[-1]
-    mins = [lo0] + [st.min_level(i) for i in range(1, k + 1)]
-    maxs = [hi0] + [st.max_level(i) for i in range(1, k + 1)]
-
-    def band_ok(lo: int, hi: int, level: int) -> bool:
-        lo, hi = min(lo, hi), max(lo, hi)
-        return all(a.value_at(n) <= level for n in range(lo, hi + 1))
-
+        lo0, hi0 = vec.index(0), a.max_supp + 1
+    mins, maxs = (lo0, *st.mins), (hi0, *st.maxs)
+    # nesting orders every band but climb:1, whose first zero may follow min_1
     for i in range(1, k + 1):
-        if not band_ok(mins[i - 1], mins[i], i):
+        lo, hi = sorted(mins[i - 1 : i + 1])
+        if max(vec[lo : hi + 1]) > i:
             return SosResult(False, f"climb:{i}")
-        if not band_ok(maxs[i], maxs[i - 1], i):
+        if max(vec[maxs[i] : maxs[i - 1] + 1]) > i:
             return SosResult(False, f"descent:{i}")
-    if k not in {a.value_at(n) for n in range(mins[k], maxs[k] + 1)}:
+    if k not in vec[mins[k] : maxs[k] + 1]:
         return SosResult(False, "core")
     return SosResult(True, None)
 
@@ -223,7 +218,7 @@ def parse_relation(text: str, k: int, window: Optional[Window] = None) -> EquivR
             raise FinkError(f"relation {kind!r} takes no parameter, got {text!r}")
         return EquivRelSpec(kind)
     if kind in ("min_level", "max_level", "minmax_level"):
-        level = int(param)
+        level = int_param("relation", text)
         if not 1 <= level <= k:
             raise FinkError(f"level {level} outside 1..{k}")
         return EquivRelSpec(kind, level=level)

@@ -155,9 +155,6 @@ class BlockSeq:
     def prefix(self, n: int) -> "BlockSeq":
         return BlockSeq(self.k, self.elems[:n])
 
-    def extend(self, x: FinkElement) -> "BlockSeq":
-        return BlockSeq(self.k, self.elems + (x,))
-
     def __str__(self) -> str:
         return format_seq(self)
 
@@ -590,6 +587,16 @@ def parse_seq(text: str, k: int) -> BlockSeq:
         return BlockSeq(k, tuple(parse_element(part, k) for part in text.split(";")))
     except InvalidSequence as e:
         raise ParseError(str(e)) from None
+
+
+def int_param(rule: str, text: str) -> int:
+    """The integer after the colon of a CLI rule such as const:1; rule names
+    the kind of rule for the error."""
+    kind, _, param = text.partition(":")
+    try:
+        return int(param)
+    except ValueError:
+        raise FinkError(f"{rule} {kind!r} needs an integer parameter, got {text!r}") from None
 
 
 def read_lines(path: str) -> list[str]:

@@ -23,7 +23,9 @@ from .core import (
     Window,
     decompose,
     extension_tree,
+    format_element,
     format_seq,
+    int_param,
     parse_seq,
     read_lines,
     span_enumerate,
@@ -32,12 +34,12 @@ from .core import (
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A decidable family of finite block sequences.
-
-    Built-ins: ``empty`` (no members), ``all_singletons`` (every length-1
-    sequence), ``min_even_first`` (nonempty, first element starts at an even
-    position), ``support_ge:s`` (nonempty, every element has support size at
-    least s), ``explicit`` (a finite list given by canonical strings).
+    """A decidable family of finite block sequences; contains also takes the
+    tuple of a sequence's elements.  Built-ins: ``empty`` (no members),
+    ``all_singletons`` (every length-1 sequence), ``min_even_first``
+    (nonempty, first element starts at an even position), ``support_ge:s``
+    (nonempty, every element has support size at least s), ``explicit`` (a
+    finite list given by canonical strings).
     """
 
     kind: str
@@ -45,16 +47,17 @@ class FamilySpec:
     members: frozenset[str] = frozenset()
 
     def contains(self, b: BlockSeq) -> bool:
+        elems = getattr(b, "elems", b)
         if self.kind == "empty":
             return False
         if self.kind == "all_singletons":
-            return len(b) == 1
+            return len(elems) == 1
         if self.kind == "min_even_first":
-            return len(b) >= 1 and b.elems[0].min_supp % 2 == 0
+            return len(elems) >= 1 and elems[0].min_supp % 2 == 0
         if self.kind == "support_ge":
-            return len(b) >= 1 and all(len(x.support()) >= self.s for x in b)
+            return len(elems) >= 1 and all(len(x.values) >= self.s for x in elems)
         if self.kind == "explicit":
-            return format_seq(b) in self.members
+            return ";".join(map(format_element, elems)) in self.members
         raise FinkError(f"unknown family kind {self.kind!r}")
 
     @staticmethod
@@ -71,7 +74,7 @@ def parse_family(text: str, k: int) -> FamilySpec:
             raise FinkError(f"family {kind!r} takes no parameter, got {text!r}")
         return FamilySpec(kind)
     if kind == "support_ge":
-        return FamilySpec("support_ge", s=int(param))
+        return FamilySpec("support_ge", s=int_param("family", text))
     if kind == "explicit":
         return FamilySpec.explicit(parse_seq(line, k) for line in read_lines(param))
     raise FinkError(f"unknown family {text!r}")
@@ -110,25 +113,25 @@ def _require_stem(B: BlockSeq, a: BlockSeq) -> None:
 def _stem_prefix_member(a: BlockSeq, F: FamilySpec) -> bool:
     """Does the stem or a prefix of it lie in the family?  One settles every
     branch at once; the tree walk checks only the nodes below the stem."""
-    return any(F.contains(a.prefix(t)) for t in range(len(a) + 1))
+    return any(F.contains(a.elems[:t]) for t in range(len(a) + 1))
 
 
 def _walk(candidates: list, a: BlockSeq, F: FamilySpec, w: Window, seen: set):
     """The extension tree of a through the span-ordered candidates, cut below
-    each family member: yields (node, branch) per maximal branch avoiding the
-    family, branch as a BlockSeq, and adds True to seen per member it meets.
+    each family member: yields (branch, branch) per maximal branch avoiding
+    the family, as element tuples, and adds True to seen per member it meets.
     Once seen holds False as well, every further child is cut."""
 
-    def step(b, x):
+    def step(node, x):
         if len(seen) == 2:
             return None
-        child = BlockSeq(a.k, b.elems + (x,))
+        child = node + (x,)
         if F.contains(child):
             seen.add(True)
             return None
         return child
 
-    return extension_tree(candidates, a, w.len_max, step, a)
+    return extension_tree(candidates, a, w.len_max, step, a.elems)
 
 
 def _avoiding_branch(candidates: list, a: BlockSeq, F: FamilySpec, w: Window) -> Optional[BlockSeq]:
@@ -136,7 +139,8 @@ def _avoiding_branch(candidates: list, a: BlockSeq, F: FamilySpec, w: Window) ->
     avoids the family, or None when every branch meets it."""
     if _stem_prefix_member(a, F):
         return None
-    return next((branch for _, branch in _walk(candidates, a, F, w, set())), None)
+    branch = next((node for node, _ in _walk(candidates, a, F, w, set())), None)
+    return None if branch is None else BlockSeq(a.k, branch)
 
 
 def _first_settled(span: list, a: BlockSeq, lengths, settle: Callable):
@@ -266,11 +270,7 @@ def galvin_dichotomy(
         seen = set()  # True: a member, False: a maximal branch avoiding F
         for _ in _walk(span_b, a, F, w, seen):
             seen.add(False)
-            if True in seen:
-                break
-        if len(seen) == 2:
-            return None
-        return 2 if True in seen else 1
+        return None if len(seen) == 2 else 2 if True in seen else 1
 
     B, alternative = _first_settled(span_enumerate(A, w), a, (m,), settle) or (None, None)
     return DichotomyResult(alternative, B)

@@ -26,6 +26,7 @@ from .core import (
     format_seq,
     generators,
     initial_segments,
+    int_param,
     read_lines,
     span_enumerate,
     window_elements,
@@ -74,6 +75,9 @@ class ColoringSpec:
             raise FinkError(f"constant color {self.param} outside 0..{self.r - 1}")
         if self.kind == "value_at" and self.param < 0:
             raise FinkError(f"value_at position {self.param} is negative")
+        for key, c in (self.table or {}).items():
+            if not 0 <= c < self.r:
+                raise FinkError(f"color {c} for {key!r} outside 0..{self.r - 1}")
 
     def color(self, obj: Colorable) -> int:
         if self.kind == "const":
@@ -108,9 +112,6 @@ class ColoringSpec:
             key = _key(obj)
             if key not in self.table:
                 raise FinkError(f"coloring not total on window: missing {key!r}")
-            c = self.table[key]
-            if not 0 <= c < self.r:
-                raise FinkError(f"color {c} for {key!r} outside 0..{self.r - 1}")
 
     @staticmethod
     def constant(c: int, r: int, arity: int = 1) -> "ColoringSpec":
@@ -129,18 +130,21 @@ def parse_coloring(text: str, r: int, arity: int = 1) -> ColoringSpec:
     """Parse the CLI syntax: const:0, min_mod, max_mod, size_mod, value_at:3, table:FILE."""
     kind, colon, param = text.partition(":")
     if kind == "const":
-        return ColoringSpec.constant(int(param), r, arity)
+        return ColoringSpec.constant(int_param("coloring", text), r, arity)
     if kind in ("min_mod", "max_mod", "size_mod"):
         if colon:
             raise FinkError(f"coloring {kind!r} takes no parameter, got {text!r}")
         return ColoringSpec(arity, r, kind)
     if kind == "value_at":
-        return ColoringSpec(arity, r, "value_at", param=int(param))
+        return ColoringSpec(arity, r, "value_at", param=int_param("coloring", text))
     if kind == "table":
         table = {}
         for line in read_lines(param):
             key, _, color = line.partition("\t")
-            table[key] = int(color)
+            try:
+                table[key] = int(color)
+            except ValueError:
+                raise FinkError(f"coloring table line {line!r} is not KEY<TAB>COLOR") from None
         return ColoringSpec.from_table(table, r, arity)
     raise FinkError(f"unknown coloring rule {text!r}")
 

@@ -148,6 +148,39 @@ def relation_by_definition(kind: str, level: int, a: FinkElement, b: FinkElement
     return ends_a[pick[kind]] == ends_b[pick[kind]]
 
 
+def pairwise_sos_check(a: FinkElement, zero_convention: str = "support-boundary"):
+    """sos_check's (ok, first violated clause) by its definition: the level
+    landmarks compared pair by pair, and each band scanned position by
+    position through value_at."""
+    k = a.k
+    ends = [_level_ends(a, i) for i in range(1, k + 1)]
+    if any(lo is None for lo, _ in ends):
+        return False, "range"
+    for i, j in itertools.combinations(range(k), 2):
+        if not (ends[i][0] < ends[j][0] and ends[j][1] < ends[i][1]):
+            return False, "nesting"
+    if zero_convention == "support-boundary":
+        lo0, hi0 = a.min_supp, a.max_supp
+    else:
+        zeros = [n for n in range(a.max_supp + 2) if a.value_at(n) == 0]
+        lo0, hi0 = zeros[0], zeros[-1]
+    mins = [lo0] + [lo for lo, _ in ends]
+    maxs = [hi0] + [hi for _, hi in ends]
+
+    def band_ok(lo: int, hi: int, level: int) -> bool:
+        lo, hi = min(lo, hi), max(lo, hi)
+        return all(a.value_at(n) <= level for n in range(lo, hi + 1))
+
+    for i in range(1, k + 1):
+        if not band_ok(mins[i - 1], mins[i], i):
+            return False, f"climb:{i}"
+        if not band_ok(maxs[i], maxs[i - 1], i):
+            return False, f"descent:{i}"
+    if k not in {a.value_at(n) for n in range(mins[k], maxs[k] + 1)}:
+        return False, "core"
+    return True, None
+
+
 def _start(s) -> int:
     return min(p for p, _ in s)
 

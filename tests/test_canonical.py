@@ -26,7 +26,7 @@ from finkit import (
     t_count,
     window_elements,
 )
-from oracles import pairwise_restriction_equals, relation_by_definition
+from oracles import pairwise_restriction_equals, pairwise_sos_check, relation_by_definition
 from test_span_engine import block_seqs, record_walk, window_of
 
 
@@ -90,6 +90,21 @@ def test_sos_richer_witness_k3():
 def test_sos_conventions_agree_on_k1():
     for x in window_elements(Window(1, 4, 4)):
         assert sos_check(x, "first-zero").ok == sos_check(x, "support-boundary").ok
+
+
+def test_sos_check_agrees_with_the_pairwise_reference():
+    # every element of the windows k = 1, 2 (N <= 7) and k = 3 (N <= 6), each
+    # window holding the smaller ones: the verdict and the first violated clause
+    clauses = set()
+    for k, n in ((1, 7), (2, 7), (3, 6)):
+        for x in window_elements(Window(k, n, n)):
+            for convention in canonical.ZERO_CONVENTIONS:
+                got = sos_check(x, convention)
+                assert (got.ok, got.violated) == pairwise_sos_check(x, convention), (x, convention)
+                clauses.add(got.violated)
+    # under nesting no later band can fail, and climb:1 fails only when the
+    # first zero follows min_1
+    assert clauses == {None, "range", "nesting", "climb:1"}
 
 
 def test_sos_unknown_convention():

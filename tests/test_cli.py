@@ -326,6 +326,56 @@ def test_family_parser_rejects_a_parameter_on_a_bare_kind():
     assert err == "error: family 'min_even_first' takes no parameter, got 'min_even_first:zz'\n"
 
 
+def test_coloring_parser_needs_an_integer_parameter():
+    for coloring in ("const", "const:", "value_at:x"):
+        argv = ["gowers", "--k", "1", "--nmax", "3", "--coloring", coloring, "--m", "1"]
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        kind = coloring.partition(":")[0]
+        assert err == f"error: coloring {kind!r} needs an integer parameter, got {coloring!r}\n"
+
+
+def test_family_parser_needs_an_integer_parameter():
+    for family in ("support_ge", "support_ge:two"):
+        argv = ["galvin", "--k", "1", "--nmax", "6", "--family", family, "--m", "2"]
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        assert err == f"error: family 'support_ge' needs an integer parameter, got {family!r}\n"
+
+
+def test_relation_parser_needs_an_integer_parameter():
+    for relation in ("min_level", "max_level:", "minmax_level:1.5"):
+        argv = ["classify", "--k", "1", "--nmax", "4", "--relation", relation, "--m", "2"]
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        kind = relation.partition(":")[0]
+        assert err == f"error: relation {kind!r} needs an integer parameter, got {relation!r}\n"
+
+
+def gowers_with_table(tmp_path, text):
+    table = tmp_path / "colors.txt"
+    table.write_text(text)
+    argv = ["gowers", "--k", "1", "--nmax", "2", "--coloring", f"table:{table}", "--m", "1"]
+    return invoke(argv)
+
+
+def test_coloring_table_line_needs_a_tab_and_an_integer_color(tmp_path):
+    for line in ("0:1 1", "0:1\tred", "0:1"):
+        code, out, err = gowers_with_table(tmp_path, f"1:1\t0\n{line}\n0:1,1:1\t0\n")
+        assert code == 2 and out == ""
+        assert err == f"error: coloring table line {line!r} is not KEY<TAB>COLOR\n"
+
+
+def test_coloring_table_colors_are_checked_off_the_window_too(tmp_path):
+    # the key 1:1,0:1 is no element of the window, so totality never reads
+    # it; its color is still refused
+    code, out, err = gowers_with_table(tmp_path, "0:1\t0\n0:1,1:1\t0\n1:1\t1\n1:1,0:1\t5\n")
+    assert code == 2 and out == ""
+    assert err == "error: color 5 for '1:1,0:1' outside 0..1\n"
+    code, out, _ = gowers_with_table(tmp_path, "0:1\t0\n0:1,1:1\t0\n1:1\t1\n1:1,0:1\t1\n")
+    assert code == 0 and "found = true" in out
+
+
 def test_json_text_equivalence():
     corpus = [
         ["span", "--k", "1", "--nmax", "2", "0:1;1:1"],

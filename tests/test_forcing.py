@@ -40,6 +40,7 @@ from oracles import (
     raw_span,
     to_seq,
 )
+from test_gowers import count_checks
 from test_span_engine import block_seqs, raw_seq, record_walk, stems, window_of
 
 W4 = Window(1, 4, 4)
@@ -69,6 +70,19 @@ def test_family_builtins():
     assert not F_EVEN.contains(EMPTY)
     assert F_GE2.contains(big) and not F_GE2.contains(pair)
     assert not F_GE2.contains(EMPTY)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_seqs(), st.integers(0, 4), st.data())
+def test_contains_decides_a_sequence_and_its_element_tuple_alike(b, s, data):
+    # the explicit family lists some prefixes of b and some other sequences
+    other = data.draw(block_seqs(max_k=b.k, max_blocks=3).filter(lambda x: x.k == b.k))
+    listed = [b.prefix(t) for t in range(len(b) + 1) if data.draw(st.booleans())]
+    families = [FamilySpec(kind) for kind in ("empty", "all_singletons", "min_even_first")]
+    families += [FamilySpec("support_ge", s=s), FamilySpec.explicit(listed + [other])]
+    for F in families:
+        for t in range(len(b) + 1):
+            assert F.contains(b.prefix(t)) == F.contains(b.elems[:t])
 
 
 def test_parse_family_forms(tmp_path):
@@ -384,6 +398,17 @@ def test_threads_agree():
         accepting = [B for B in condensations(A, w) if accepts(B, EMPTY, F, w).holds]
         expected = RejectsResult(False, accepting[0]) if accepting else RejectsResult(True, None)
         assert rejects(A, EMPTY, F, w) == expected
+
+
+def test_galvin_builds_no_block_sequence_inside_its_walk(monkeypatch):
+    # B's tree carries element tuples: each child starts after its parent
+    # ends, so only the returned witness is built as a BlockSeq
+    A = generators(1, 10)
+    checked = count_checks(monkeypatch, BlockSeq)
+    res = galvin_dichotomy(A, EMPTY, F_EVEN, 3, Window(1, 10, 10))
+    assert res.alternative == 2 and format_seq(res.witness) == "0:1;2:1;4:1"
+    assert len(checked) < 10
+    assert type(res.witness) is BlockSeq and BlockSeq(1, res.witness.elems) == res.witness
 
 
 def test_searches_build_one_span_and_stop_at_the_witness(monkeypatch):

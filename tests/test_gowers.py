@@ -140,6 +140,14 @@ def test_table_coloring_must_be_total():
         gowers_search(f, G4, 2, W4)
 
 
+def test_table_colors_are_checked_when_the_table_is_built():
+    # every entry, also one that no window element or sequence reads
+    for table, arity in (({"0:1": 0, "9:1": 2}, 1), ({"0:1": -1}, 1), ({"0:1;1:1": 2}, 2)):
+        with pytest.raises(FinkError, match=r"color -?\d for '[0-9:;]+' outside 0\.\.1"):
+            ColoringSpec.from_table(table, 2, arity)
+    assert ColoringSpec.from_table({"0:1": 0, "9:1": 2}, 3).table["9:1"] == 2
+
+
 def test_parse_coloring_forms(tmp_path):
     assert parse_coloring("const:1", 2).color(parse_seq("0:1", 1).elems[0]) == 1
     assert parse_coloring("value_at:3", 2).kind == "value_at"

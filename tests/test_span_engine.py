@@ -148,13 +148,15 @@ def test_span_state_keeps_earlier_sums_without_copying():
 def record_walk(monkeypatch, module):
     """Record, in a searching module, the inputs of every span it builds and
     every pick its condensation walk tries, in order.  The condensation walk
-    is the extension-tree walk whose root holds a SpanState; the walks of
-    each B's own tree, from a BlockSeq stem, are not recorded."""
+    is the extension-tree walk whose root is a SpanState, or a tuple that
+    starts with one; the walks of each B's own tree, whose root is the tuple
+    of the stem's elements, are not recorded."""
     built, tried = [], []
     walk, span_of = module.extension_tree, module.span_enumerate
 
     def recorded_walk(candidates, stem, max_len, step, root):
-        if not isinstance(root[0] if isinstance(root, tuple) else root, SpanState):
+        head = root[:1] if isinstance(root, tuple) else (root,)
+        if not any(isinstance(state, SpanState) for state in head):
             return walk(candidates, stem, max_len, step, root)
 
         def recorded_step(state, pick):
