@@ -81,18 +81,27 @@ def _first_at(pairs, level: int) -> Optional[int]:
 @dataclass(frozen=True)
 class SosResult:
     ok: bool
-    violated: Optional[str]  # first failed clause: range | nesting | climb:i | descent:i | core
+    violated: Optional[str]  # first failed clause: range | nesting | climb:1
 
 
 def sos_check(a: FinkElement, zero_convention: str = "support-boundary") -> SosResult:
     """Is a a staircase system: a single rise through every level and fall back?
 
     Checks, in order: (range) every level 1..k is attained; (nesting) the
-    level landmarks nest, min_i < min_j <= max_j < max_i for i < j; (climb /
-    descent) between consecutive landmarks no value exceeds the level being
-    entered or left; (core) the innermost landmark interval attains k.  The
-    level-0 landmarks are the support boundary by default, or the first and
-    last zero up to just past the support under the "first-zero" convention.
+    level landmarks nest, min_i < min_j <= max_j < max_i for i < j; (climb:1)
+    from the level-0 landmark to min_1 no value exceeds 1.  The level-0
+    landmarks are the support boundary by default, or the first and last
+    zero up to just past the support under the "first-zero" convention.
+
+    The staircase definition also bounds the later bands: no value above i
+    between min_{i-1} and min_i (climb:i) or between max_i and max_{i-1}
+    (descent:i), and k attained on min_k..max_k (core).  Nesting implies
+    them: a value above i before min_i, or after max_i, would be a level-j
+    landmark (j > i) outside level i's, and min_k holds k.  For the same
+    reason a level-0 band can fail only inside min_1..max_1, where only
+    climb:1 under "first-zero" reaches, when the first zero follows min_1.
+    Every position in between is in the support, so climb:1 then fails
+    exactly when min_2 precedes that zero.
     """
     if zero_convention not in ZERO_CONVENTIONS:
         raise FinkError(f"unknown zero convention {zero_convention!r}")
@@ -103,23 +112,12 @@ def sos_check(a: FinkElement, zero_convention: str = "support-boundary") -> SosR
     # consecutive levels nest exactly when every pair of levels does
     if any(st.mins[i] >= st.mins[i + 1] or st.maxs[i + 1] >= st.maxs[i] for i in range(k - 1)):
         return SosResult(False, "nesting")
-    vec = [0] * (a.max_supp + 2)  # the values at 0..max_supp + 1, a zero past the support
-    for pos, val in a.values:
-        vec[pos] = val
-    if zero_convention == "support-boundary":
-        lo0, hi0 = a.min_supp, a.max_supp
-    else:
-        lo0, hi0 = vec.index(0), a.max_supp + 1
-    mins, maxs = (lo0, *st.mins), (hi0, *st.maxs)
-    # nesting orders every band but climb:1, whose first zero may follow min_1
-    for i in range(1, k + 1):
-        lo, hi = sorted(mins[i - 1 : i + 1])
-        if max(vec[lo : hi + 1]) > i:
-            return SosResult(False, f"climb:{i}")
-        if max(vec[maxs[i] : maxs[i - 1] + 1]) > i:
-            return SosResult(False, f"descent:{i}")
-    if k not in vec[mins[k] : maxs[k] + 1]:
-        return SosResult(False, "core")
+    if zero_convention == "first-zero" and k >= 2:
+        # positions strictly increase from 0, so the first zero is the first
+        # index whose position runs ahead of it
+        first_zero = next((i for i, (pos, _) in enumerate(a.values) if pos != i), len(a.values))
+        if first_zero > st.mins[1]:
+            return SosResult(False, "climb:1")
     return SosResult(True, None)
 
 
@@ -136,7 +134,7 @@ class EquivRelSpec:
 
     kind: str
     level: int = 0
-    classes: Optional[dict[str, int]] = None
+    classes: Optional[dict[str, str]] = None  # element text -> its class's root text
     window: Optional[Window] = None
 
     def key(self, a: FinkElement):
@@ -199,14 +197,8 @@ class EquivRelSpec:
             la, rb = find(keys[0]), find(keys[1])
             if la != rb:
                 parent[la] = rb
-        classes = {key: find(key) for key in parent}
-        roots = sorted(set(classes.values()))
-        renumber = {root: i for i, root in enumerate(roots)}
-        return EquivRelSpec(
-            "table",
-            classes={key: renumber[root] for key, root in classes.items()},
-            window=window,
-        )
+        # every root is a mentioned element, so no unmentioned text equals one
+        return EquivRelSpec("table", classes={key: find(key) for key in parent}, window=window)
 
 
 def parse_relation(text: str, k: int, window: Optional[Window] = None) -> EquivRelSpec:
@@ -223,7 +215,12 @@ def parse_relation(text: str, k: int, window: Optional[Window] = None) -> EquivR
             raise FinkError(f"level {level} outside 1..{k}")
         return EquivRelSpec(kind, level=level)
     if kind == "table":
-        pairs = [line.partition("\t")[::2] for line in read_lines(param)]
+        pairs = []
+        for line in read_lines(param):
+            fields = line.split("\t")  # read_lines strips, so two fields are both nonempty
+            if len(fields) != 2:
+                raise FinkError(f"relation table line {line!r} is not ELEMENT<TAB>ELEMENT")
+            pairs.append(fields)
         return EquivRelSpec.from_pairs(pairs, k, window)
     raise FinkError(f"unknown relation {text!r}")
 

@@ -55,10 +55,7 @@ def common_condensation(
     chain keeps every earliest-ending eligible candidate, which maximizes
     chain length, so None really means the window admits no such sequence.
     """
-    if A.k != B.k:
-        raise FinkError(f"level mismatch: {A.k} vs {B.k}")
-    _require_length(L, w)
-    return _greedy_chain(A, span_enumerate(B, w), L)
+    return first_common_condensation((A,), B, L, w)
 
 
 def _greedy_chain(A: BlockSeq, span: list[FinkElement], L: int) -> Optional[BlockSeq]:

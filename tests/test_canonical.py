@@ -93,17 +93,18 @@ def test_sos_conventions_agree_on_k1():
 
 
 def test_sos_check_agrees_with_the_pairwise_reference():
-    # every element of the windows k = 1, 2 (N <= 7) and k = 3 (N <= 6), each
-    # window holding the smaller ones: the verdict and the first violated clause
+    # every element of the windows k = 1, 2 (N <= 7), k = 3 (N <= 6) and
+    # k = 4, 5 (N <= 5), each window holding the smaller ones: the verdict and
+    # the first violated clause
     clauses = set()
-    for k, n in ((1, 7), (2, 7), (3, 6)):
+    for k, n in ((1, 7), (2, 7), (3, 6), (4, 5), (5, 5)):
         for x in window_elements(Window(k, n, n)):
             for convention in canonical.ZERO_CONVENTIONS:
                 got = sos_check(x, convention)
                 assert (got.ok, got.violated) == pairwise_sos_check(x, convention), (x, convention)
                 clauses.add(got.violated)
-    # under nesting no later band can fail, and climb:1 fails only when the
-    # first zero follows min_1
+    # under nesting no later band can fail, and climb:1 fails only under
+    # "first-zero", when the first zero follows min_2
     assert clauses == {None, "range", "nesting", "climb:1"}
 
 

@@ -366,6 +366,17 @@ def test_coloring_table_line_needs_a_tab_and_an_integer_color(tmp_path):
         assert err == f"error: coloring table line {line!r} is not KEY<TAB>COLOR\n"
 
 
+def test_relation_table_line_needs_exactly_one_tab(tmp_path):
+    # (file line, the line as reported: read_lines strips the trailing tab)
+    for line, shown in (("0:1", "0:1"), ("0:1\t", "0:1"), ("1:1\t2:1\t0:1", "1:1\t2:1\t0:1")):
+        table = tmp_path / "relation.txt"
+        table.write_text(f"0:1\t1:1\n{line}\n")
+        argv = ["classify", "--k", "1", "--nmax", "4", "--relation", f"table:{table}", "--m", "2"]
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        assert err == f"error: relation table line {shown!r} is not ELEMENT<TAB>ELEMENT\n"
+
+
 def test_coloring_table_colors_are_checked_off_the_window_too(tmp_path):
     # the key 1:1,0:1 is no element of the window, so totality never reads
     # it; its color is still refused
