@@ -280,8 +280,7 @@ def canonicalize_search(
     relation whose window does not hold A is refused before the scan.  None
     means the window admits no classification.
     """
-    if not 1 <= m <= w.len_max:
-        raise FinkError(f"target length {m} outside 1..{w.len_max}")
+    w.require_length(m)
     if R.window is not None and A.max_supp >= R.window.n_max:
         raise FinkError(f"ambient {A} has support past the relation's window n_max={R.window.n_max}")
     k = A.k

@@ -1,12 +1,10 @@
 """Command-line entry point.
 
-One binary, subcommand style.  Every report is built as a JSON-safe dict;
---json prints it verbatim and text mode renders the same fields, so the two
-modes carry identical information.  Window parameters are echoed in every
-windowed report.  Exit codes: 0 success or witness found, 1 exhausted,
-absent or false, 2 usage or input error.  Every search is one sequential
-scan and outputs contain no randomness, so they are byte-identical across
-runs.  --threads is accepted for compatibility and has no effect.
+Each subcommand is one entry of the command table below: its options and a
+handler that returns only the report fields of its own.  The table writes
+the frame around them: every report starts with "command", and a windowed
+report continues with "window", built once from the parsed options before
+the handler runs.  The --help description is _DESCRIPTION.
 """
 
 from __future__ import annotations
@@ -35,6 +33,16 @@ from .core import (
     tetris,
 )
 
+_DESCRIPTION = """Command-line entry point.
+
+One binary, subcommand style.  Every report is built as a JSON-safe dict;
+--json prints it verbatim and text mode renders the same fields, so the two
+modes carry identical information.  Window parameters are echoed in every
+windowed report.  Exit codes: 0 success or witness found, 1 exhausted,
+absent or false, 2 usage or input error.  Every search is one sequential
+scan and outputs contain no randomness, so they are byte-identical across
+runs.  --threads is accepted for compatibility and has no effect."""
+
 EXIT_OK = 0
 EXIT_EXHAUSTED = 1
 EXIT_USAGE = 2
@@ -51,8 +59,8 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 # -- the command table --------------------------------------------------------
 # One entry per subcommand, in help order: its help line, the (flags, kwargs)
-# of each add_argument call in order, and the handler that turns the parsed
-# Namespace into (report, exit code).  @_command registers an entry.
+# of each add_argument call in order, and the framed handler that turns the
+# parsed Namespace into (report, exit code).  @_command registers an entry.
 
 
 class _Command(NamedTuple):
@@ -68,10 +76,31 @@ def _arg(*flags: str, **kwargs) -> tuple:
     return flags, kwargs
 
 
-def _command(name: str, summary: str, *args: tuple):
+def _command(name: str, summary: str, *args: tuple, window: Optional[Callable] = None):
+    """Register handler(args) -> (fields, hit) under name and return it framed.
+
+    A command that takes the _WINDOW options, or names its own window(args),
+    is windowed: its handler is called as handler(args, w).  The framed
+    report is "command", then "window" if windowed, then the handler's
+    fields; the exit code is EXIT_OK on a hit, else EXIT_EXHAUSTED.
+    """
+    if window is None and _WINDOW[0] in args:
+        window = _window
+
     def register(handler):
-        _COMMANDS[name] = _Command(summary, args, handler)
-        return handler
+        def framed(parsed):
+            report = {"command": name}
+            if window is None:
+                fields, hit = handler(parsed)
+            else:
+                w = window(parsed)
+                report["window"] = {"k": w.k, "n_max": w.n_max, "len_max": w.len_max}
+                fields, hit = handler(parsed, w)
+            report.update(fields)
+            return report, EXIT_OK if hit else EXIT_EXHAUSTED
+
+        _COMMANDS[name] = _Command(summary, args, framed)
+        return framed
 
     return register
 
@@ -91,7 +120,7 @@ _SEQ_OPT = _arg("seq", nargs="?", default=None)
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The finkit parser.  For a known command only its subparser is built;
     otherwise (no arguments, --help, an unknown name) every one is."""
-    top = argparse.ArgumentParser(prog="finkit", description=__doc__)
+    top = argparse.ArgumentParser(prog="finkit", description=_DESCRIPTION)
     if command in _COMMANDS:
         # argparse spells the command list in the top-level usage from the
         # subparsers it holds, so name every command here.  With all of them
@@ -126,10 +155,6 @@ def _window(args) -> Window:
     return Window(args.k, args.nmax, lenmax)
 
 
-def _window_dict(w: Window) -> dict:
-    return {"k": w.k, "n_max": w.n_max, "len_max": w.len_max}
-
-
 def _ambient(args, w: Window) -> BlockSeq:
     if args.seq:
         return parse_seq(args.seq, w.k)
@@ -145,15 +170,14 @@ def _seq_or_none(b: Optional[BlockSeq]) -> Optional[str]:
 
 @_command("span", "enumerate the span of a block sequence",
           *_WINDOW, _JSON, _arg("seq", help="block sequence, e.g. '0:1;1:1'"))
-def _cmd_span(args):
-    w = _window(args)
+def _cmd_span(args, w):
     A = parse_seq(args.seq, w.k)
     # each block is absent or takes one of k exponents, and some exponent is 0
     if (w.k + 1) ** len(A) - w.k ** len(A) > SPAN_MAX_ELEMENTS:
         raise FinkError(
             f"the span of {len(A)} blocks at k={w.k} has more than {SPAN_MAX_ELEMENTS} elements"
         )
-    return {"command": "span", "window": _window_dict(w), "elements": span_texts(A, w)}, EXIT_OK
+    return {"elements": span_texts(A, w)}, True
 
 
 @_command("member", "decompose an element over a block sequence",
@@ -163,15 +187,13 @@ def _cmd_member(args):
     A = parse_seq(args.seq, args.k)
     x = parse_element(args.element, args.k)
     d = decompose(x, A)
-    report = {
-        "command": "member",
+    return {
         "k": args.k,
         "element": format_element(x),
         "ambient": format_seq(A),
         "member": d is not None,
         "decomposition": None if d is None else [[i, j] for i, j in d.parts],
-    }
-    return report, EXIT_OK if d is not None else EXIT_EXHAUSTED
+    }, d is not None
 
 
 @_command("tetris", "apply the decrement operation",
@@ -179,14 +201,34 @@ def _cmd_member(args):
 def _cmd_tetris(args):
     x = parse_element(args.element, args.k)
     out = tetris(x, args.j)
-    report = {
-        "command": "tetris",
+    return {
         "k": args.k,
         "j": args.j,
         "element": format_element(x),
         "result": "zero" if out is None else format_element(out),
-    }
-    return report, EXIT_OK
+    }, True
+
+
+def _witness_search(search: Callable, args, w: Window, **n) -> tuple[dict, bool]:
+    """gowers and ramsey2: search the ambient for an m-term witness of a
+    coloring of arity n (1 unless given) and report the outcome."""
+    A = _ambient(args, w)
+    f = gowers.parse_coloring(args.coloring, args.r, arity=n.get("n", 1))
+    rep = search(f, A, args.m, w)
+    return {
+        "coloring": args.coloring,
+        **n,
+        "r": args.r,
+        "m": args.m,
+        "ambient": format_seq(A),
+        "found": rep.found,
+        "witness": _seq_or_none(rep.witness),
+        "color": rep.color,
+        "nodes_explored": rep.nodes_explored,
+        "note": None
+        if rep.found
+        else "window exhausted: no witness at this scale (the infinite statement is not refuted)",
+    }, rep.found
 
 
 @_command(
@@ -196,27 +238,16 @@ def _cmd_tetris(args):
     _arg("--m", type=int, required=True, help="witness length"),
     _arg("seq", nargs="?", default=None, help="ambient sequence (default: window generators)"),
 )
-def _cmd_gowers(args):
-    w = _window(args)
-    A = _ambient(args, w)
-    f = gowers.parse_coloring(args.coloring, args.r, arity=1)
-    rep = gowers.gowers_search(f, A, args.m, w)
-    report = {
-        "command": "gowers",
-        "window": _window_dict(w),
-        "coloring": args.coloring,
-        "r": args.r,
-        "m": args.m,
-        "ambient": format_seq(A),
-        "found": rep.found,
-        "witness": _seq_or_none(rep.witness),
-        "color": rep.color,
-        "nodes_explored": rep.nodes_explored,
-        "note": None
-        if rep.found
-        else "window exhausted: no witness at this scale (the infinite statement is not refuted)",
-    }
-    return report, EXIT_OK if rep.found else EXIT_EXHAUSTED
+def _cmd_gowers(args, w):
+    return _witness_search(gowers.gowers_search, args, w)
+
+
+def _verify_window(args) -> Window:
+    """gowers-verify's window, echoed with len_max = max(m, 1); the budget is
+    checked first."""
+    if args.budget < 1:
+        raise FinkError(f"budget must be positive, got {args.budget}")
+    return Window(args.k, args.nmax, max(args.m, 1))
 
 
 @_command(
@@ -224,22 +255,17 @@ def _cmd_gowers(args):
     _K, _arg("--nmax", type=int, required=True), _THREADS, _JSON,
     _arg("--m", type=int, required=True), _arg("--r", type=int, default=2),
     _arg("--budget", type=int, default=2**24, help="max colorings to enumerate"),
+    window=_verify_window,
 )
-def _cmd_gowers_verify(args):
-    if args.budget < 1:
-        raise FinkError(f"budget must be positive, got {args.budget}")
-    w = Window(args.k, args.nmax, max(args.m, 1))
+def _cmd_gowers_verify(args, w):
     rep = gowers.verify_finite_gowers(args.k, args.m, args.r, args.nmax, budget=args.budget)
-    report = {
-        "command": "gowers-verify",
-        "window": _window_dict(w),
+    return {
         "m": args.m,
         "r": args.r,
         "holds": rep.holds,
         "colorings_checked": rep.colorings_checked,
         "failing_coloring": rep.failing_coloring,
-    }
-    return report, EXIT_OK if rep.holds else EXIT_EXHAUSTED
+    }, rep.holds
 
 
 @_command(
@@ -247,28 +273,8 @@ def _cmd_gowers_verify(args):
     _arg("--coloring", required=True), _arg("--n", type=int, required=True, help="coloring arity"),
     _arg("--r", type=int, default=2), _arg("--m", type=int, required=True), _SEQ_OPT,
 )
-def _cmd_ramsey2(args):
-    w = _window(args)
-    A = _ambient(args, w)
-    f = gowers.parse_coloring(args.coloring, args.r, arity=args.n)
-    rep = gowers.ramsey2_search(f, A, args.m, w)
-    report = {
-        "command": "ramsey2",
-        "window": _window_dict(w),
-        "coloring": args.coloring,
-        "n": args.n,
-        "r": args.r,
-        "m": args.m,
-        "ambient": format_seq(A),
-        "found": rep.found,
-        "witness": _seq_or_none(rep.witness),
-        "color": rep.color,
-        "nodes_explored": rep.nodes_explored,
-        "note": None
-        if rep.found
-        else "window exhausted: no witness at this scale (the infinite statement is not refuted)",
-    }
-    return report, EXIT_OK if rep.found else EXIT_EXHAUSTED
+def _cmd_ramsey2(args, w):
+    return _witness_search(gowers.ramsey2_search, args, w, n=args.n)
 
 
 @_command(
@@ -278,24 +284,19 @@ def _cmd_ramsey2(args):
     _arg("--min-len", type=int, default=1, help="condensation length floor"),
     _arg("seq", help="ambient block sequence"),
 )
-def _cmd_forcing(args):
-    w = _window(args)
+def _cmd_forcing(args, w):
     B = parse_seq(args.seq, w.k)
     a = parse_seq(args.stem, w.k)
     F = forcing.parse_family(args.family, w.k)
     verdict = forcing.decides(B, a, F, w, min_len=args.min_len)
-    report = {
-        "command": "forcing",
-        "window": _window_dict(w),
+    return {
         "family": args.family,
         "stem": format_seq(a),
         "ambient": format_seq(B),
         "status": verdict.status,
         "avoiding_branch": _seq_or_none(verdict.branch),
         "accepting_condensation": _seq_or_none(verdict.condensation),
-    }
-    code = EXIT_OK if verdict.status in ("accepts", "rejects") else EXIT_EXHAUSTED
-    return report, code
+    }, verdict.status in ("accepts", "rejects")
 
 
 @_command(
@@ -303,15 +304,12 @@ def _cmd_forcing(args):
     _arg("--family", required=True), _arg("--stem", default=""),
     _arg("--m", type=int, required=True, help="condensation length"), _SEQ_OPT,
 )
-def _cmd_galvin(args):
-    w = _window(args)
+def _cmd_galvin(args, w):
     A = _ambient(args, w)
     a = parse_seq(args.stem, w.k)
     F = forcing.parse_family(args.family, w.k)
     res = forcing.galvin_dichotomy(A, a, F, args.m, w)
-    report = {
-        "command": "galvin",
-        "window": _window_dict(w),
+    return {
         "family": args.family,
         "stem": format_seq(a),
         "m": args.m,
@@ -321,8 +319,7 @@ def _cmd_galvin(args):
         "note": None
         if res.alternative is not None
         else "window exhausted: neither alternative verifiable at this scale",
-    }
-    return report, EXIT_OK if res.alternative is not None else EXIT_EXHAUSTED
+    }, res.alternative is not None
 
 
 @_command(
@@ -331,22 +328,18 @@ def _cmd_galvin(args):
          help="equality | full | min_level:I | max_level:I | minmax_level:I | size_parity | table:FILE"),
     _arg("--m", type=int, required=True, help="witness length"), _SEQ_OPT,
 )
-def _cmd_classify(args):
-    w = _window(args)
+def _cmd_classify(args, w):
     A = _ambient(args, w)
     R = canonical.parse_relation(args.relation, w.k, w)
     res = canonical.canonicalize_search(R, A, args.m, w)
-    report = {
-        "command": "classify",
-        "window": _window_dict(w),
+    return {
         "input_relation": args.relation,
         "m": args.m,
         "ambient": format_seq(A),
         "relation": None if res is None else res.relation,
         "witness": None if res is None else format_seq(res.witness),
         "caveat": None if res is None else res.caveat,
-    }
-    return report, EXIT_OK if res is not None else EXIT_EXHAUSTED
+    }, res is not None
 
 
 @_command(
@@ -358,34 +351,26 @@ def _cmd_classify(args):
 def _cmd_sos(args):
     x = parse_element(args.element, args.k)
     res = canonical.sos_check(x, args.zero_convention)
-    report = {
-        "command": "sos",
+    return {
         "k": args.k,
         "element": format_element(x),
         "zero_convention": args.zero_convention,
         "sos": res.ok,
         "violated": res.violated,
-    }
-    return report, EXIT_OK if res.ok else EXIT_EXHAUSTED
+    }, res.ok
 
 
 @_command("tk", "size of the canonical relation list", _JSON, _arg("k", type=int))
 def _cmd_tk(args):
     if args.k > TK_MAX_K:
         raise FinkError(f"t({args.k}) has more than 4300 digits; k must be at most {TK_MAX_K}")
-    return {"command": "tk", "k": args.k, "t": canonical.t_count(args.k)}, EXIT_OK
+    return {"k": args.k, "t": canonical.t_count(args.k)}, True
 
 
 @_command("mu", "positions where the terms attain k", _K, _JSON, _arg("seq"))
 def _cmd_mu(args):
     A = parse_seq(args.seq, args.k)
-    report = {
-        "command": "mu",
-        "k": args.k,
-        "ambient": format_seq(A),
-        "mu": sorted(coideals.mu(A)),
-    }
-    return report, EXIT_OK
+    return {"k": args.k, "ambient": format_seq(A), "mu": sorted(coideals.mu(A))}, True
 
 
 @_command(
@@ -394,44 +379,32 @@ def _cmd_mu(args):
     _arg("--len", dest="length", type=int, required=True, help="common condensation length"),
     _arg("seq"),
 )
-def _cmd_top_member(args):
-    w = _window(args)
+def _cmd_top_member(args, w):
     B = parse_seq(args.seq, w.k)
     base = [parse_seq(line, w.k) for line in read_lines(args.family)]
     if not base:
         raise FinkError(f"family file {args.family!r} lists no sequences")
     witness = coideals.first_common_condensation(base, B, args.length, w)
-    report = {
-        "command": "top-member",
-        "window": _window_dict(w),
+    return {
         "family_size": len(base),
         "len": args.length,
         "ambient": format_seq(B),
         "member": witness is not None,
         "witness": _seq_or_none(witness),
-    }
-    return report, EXIT_OK if witness is not None else EXIT_EXHAUSTED
+    }, witness is not None
 
 
 @_command("diagonal", "greedy diagonal through a decreasing chain", *_SEARCH,
           _arg("--chain", required=True, help="file of sequences, one per line, index order"))
-def _cmd_diagonal(args):
-    w = _window(args)
+def _cmd_diagonal(args, w):
     chain = [parse_seq(line, w.k) for line in read_lines(args.chain)]
-    report = {
-        "command": "diagonal",
-        "window": _window_dict(w),
-        "chain_length": len(chain),
-    }
+    fields = {"chain_length": len(chain)}
     try:
-        C = coideals.diagonal_build(chain, w)
+        fields["diagonal"] = format_seq(coideals.diagonal_build(chain, w))
     except WindowExhausted as e:
-        report["diagonal"] = None
-        report["exhausted_at_step"] = e.step
-        report["partial"] = format_seq(e.partial)
-        return report, EXIT_EXHAUSTED
-    report["diagonal"] = format_seq(C)
-    return report, EXIT_OK
+        fields.update(diagonal=None, exhausted_at_step=e.step, partial=format_seq(e.partial))
+        return fields, False
+    return fields, True
 
 
 @_command("theta", "net function to FIN_k element",
@@ -440,15 +413,12 @@ def _cmd_diagonal(args):
 def _cmd_theta(args):
     delta = _rational("delta", args.delta)
     h = net.parse_net_function(args.netfn, args.k, delta)
-    p = net.theta(h)
-    report = {
-        "command": "theta",
+    return {
         "k": args.k,
         "delta": str(delta),
         "net_function": net.format_net_function(h),
-        "element": format_element(p),
-    }
-    return report, EXIT_OK
+        "element": format_element(net.theta(h)),
+    }, True
 
 
 @_command("theta-inv", "FIN_k element to net function",
@@ -456,15 +426,12 @@ def _cmd_theta(args):
 def _cmd_theta_inv(args):
     delta = _rational("delta", args.delta)
     p = parse_element(args.element, args.k)
-    h = net.theta_inv(p, delta)
-    report = {
-        "command": "theta-inv",
+    return {
         "k": args.k,
         "delta": str(delta),
         "element": format_element(p),
-        "net_function": net.format_net_function(h),
-    }
-    return report, EXIT_OK
+        "net_function": net.format_net_function(net.theta_inv(p, delta)),
+    }, True
 
 
 @_command("kfor", "level and delta for a stability epsilon",
@@ -472,13 +439,7 @@ def _cmd_theta_inv(args):
 def _cmd_kfor(args):
     eps = _rational("epsilon", args.epsilon)
     k, delta = net.k_for_epsilon(eps)
-    report = {
-        "command": "kfor",
-        "epsilon": str(eps),
-        "k": k,
-        "delta": str(delta),
-    }
-    return report, EXIT_OK
+    return {"epsilon": str(eps), "k": k, "delta": str(delta)}, True
 
 
 # -- rendering ----------------------------------------------------------------

@@ -41,11 +41,6 @@ def span_peaks(A: BlockSeq, w: Window) -> set[int]:
     return {pos for x in span_enumerate(A, w) for pos in x.peaks()}
 
 
-def _require_length(L: int, w: Window) -> None:
-    if not 1 <= L <= w.len_max:
-        raise FinkError(f"target length {L} outside 1..{w.len_max}")
-
-
 def common_condensation(
     A: BlockSeq, B: BlockSeq, L: int, w: Window
 ) -> Optional[BlockSeq]:
@@ -78,7 +73,7 @@ def first_common_condensation(base, B: BlockSeq, L: int, w: Window) -> Optional[
 
     B's span is built once, and only when the base is nonempty.
     """
-    _require_length(L, w)
+    w.require_length(L)
     span = None
     for A in base:
         if A.k != B.k:
@@ -109,7 +104,7 @@ class CoidealPresentation:
     def contains(self, A: BlockSeq, L: int = 1) -> bool:
         """Does A belong, with a witness of length L for "top_of"?  L must lie
         in 1..len_max for every kind."""
-        _require_length(L, self.window)
+        self.window.require_length(L)
         if self.kind == "all":
             return True
         if self.kind == "top_of":
@@ -132,7 +127,7 @@ def partition_refine(A: BlockSeq, mask, L: int, w: Window) -> RefineResult:
     works when it has at least L terms.  Otherwise no side has one: a block
     sequence over the span of a side has at most as many terms as the side.
     """
-    _require_length(L, w)
+    w.require_length(L)
     mask = list(mask)
     if len(mask) != len(A):
         raise FinkError(f"mask length {len(mask)} differs from sequence length {len(A)}")

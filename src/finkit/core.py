@@ -182,6 +182,11 @@ class Window:
                     f"{what} {a!s} has support past window n_max={self.n_max}"
                 )
 
+    def require_length(self, n: int, what: str = "target length") -> None:
+        """Lengths of constructed sequences lie in 1..len_max."""
+        if not 1 <= n <= self.len_max:
+            raise FinkError(f"{what} {n} outside 1..{self.len_max}")
+
 
 @dataclass(frozen=True)
 class Decomposition:

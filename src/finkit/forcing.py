@@ -179,11 +179,6 @@ def accepts(B: BlockSeq, a: BlockSeq, F: FamilySpec, w: Window) -> AcceptsResult
     return AcceptsResult(branch is None, branch)
 
 
-def _require_min_len(min_len: int, w: Window) -> None:
-    if not 1 <= min_len <= w.len_max:
-        raise FinkError(f"condensation length floor {min_len} outside 1..{w.len_max}")
-
-
 def _accepting_condensation(span: list, a: BlockSeq, F: FamilySpec, w: Window, min_len: int):
     """The first condensation of B, min_len or more long and shortest first,
     whose span holds the stem and accepts it, or None; span is B's span.
@@ -210,7 +205,7 @@ def rejects(
     tried.  On failure the result carries the first accepting condensation.
     """
     _require_stem(B, a)
-    _require_min_len(min_len, w)
+    w.require_length(min_len, "condensation length floor")
     B2 = _accepting_condensation(span_enumerate(B, w), a, F, w, min_len)
     return RejectsResult(B2 is None, B2)
 
@@ -224,7 +219,7 @@ def decides(
 ) -> ForcingVerdict:
     """Run accepts, then rejects, on one span of B; report the first that
     holds, else undecided."""
-    _require_min_len(min_len, w)
+    w.require_length(min_len, "condensation length floor")
     _require_stem(B, a)
     span = span_enumerate(B, w)
     branch = _avoiding_branch(span, a, F, w)
@@ -258,8 +253,7 @@ def galvin_dichotomy(
     a member rules out 1 (a stem prefix in the family counts), a maximal
     branch avoiding the family rules out 2.
     """
-    if not 1 <= m <= w.len_max:
-        raise FinkError(f"target length {m} outside 1..{w.len_max}")
+    w.require_length(m)
     if a.k != A.k:
         raise FinkError(f"level mismatch: stem k={a.k}, sequence k={A.k}")
     prefix_member = _stem_prefix_member(a, F)

@@ -25,9 +25,9 @@ from .core import (
     format_element,
     format_seq,
     generators,
-    initial_segments,
     int_param,
     read_lines,
+    sequences_over,
     span_enumerate,
     window_elements,
 )
@@ -101,13 +101,17 @@ class ColoringSpec:
         return self.func(obj)
 
     def check_total(self, w: Window) -> None:
-        """Reject table colorings that miss part of the window's domain."""
+        """Reject table colorings that miss part of the window's domain.  The
+        domain is walked lazily, so the first missing key ends the check."""
         if self.kind != "table":
             return
         if self.arity == 1:
             domain = window_elements(w)
+        elif self.arity > w.len_max:
+            raise FinkError(f"length {self.arity} exceeds window len_max={w.len_max}")
         else:
-            domain = initial_segments(generators(w.k, w.n_max), self.arity, w)
+            span = span_enumerate(generators(w.k, w.n_max), w)
+            domain = sequences_over(span, BlockSeq(w.k, ()), self.arity)
         for obj in domain:
             key = _key(obj)
             if key not in self.table:
@@ -218,8 +222,7 @@ def gowers_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRepo
     """
     if f.arity != 1:
         raise FinkError(f"gowers_search needs an arity-1 coloring, got {f.arity}")
-    if not 1 <= m <= w.len_max:
-        raise FinkError(f"target length {m} outside 1..{w.len_max}")
+    w.require_length(m)
     f.check_total(w)
     candidates = span_enumerate(A, w)
     # a pick's first added element is the pick: the empty sum joined with T^0
@@ -236,8 +239,7 @@ def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRep
         raise FinkError(f"sequence coloring arity must be >= 1, got {n}")
     if n > m:
         raise FinkError(f"arity {n} exceeds target length {m}")
-    if m > w.len_max:
-        raise FinkError(f"target length {m} exceeds window len_max={w.len_max}")
+    w.require_length(m)
     f.check_total(w)
     k = A.k
 
@@ -300,8 +302,7 @@ def verify_finite_gowers(
         big = size is None or size.bit_length() > 64
         shown = f"({k + 1}^{N} - {k}^{N})" if big else size
         raise BudgetExceeded(f"{r}^{shown} colorings exceed budget {budget}")
-    if m < 1:
-        raise FinkError(f"target length {m} outside 1..{w.len_max}")
+    w.require_length(m)
     elems = list(window_elements(w))
     index = {x.values: i for i, x in enumerate(elems)}
     span = span_enumerate(generators(k, N), w)

@@ -157,6 +157,13 @@ def test_ramsey2_runs():
     assert code == 0 and "witness" in out
 
 
+def test_ramsey2_refuses_a_target_length_outside_the_window():
+    argv = ["ramsey2", "--k", "1", "--nmax", "4", "--coloring", "size_mod", "--n", "2", "--m", "5"]
+    code, out, err = invoke(argv)
+    assert code == 2 and out == ""
+    assert err == "error: target length 5 outside 1..4\n"
+
+
 def test_forcing_statuses(tmp_path):
     base = ["forcing", "--k", "1", "--nmax", "4", "--family"]
     seq = "0:1;1:1;2:1;3:1"
@@ -567,3 +574,164 @@ def test_python_dash_m_finkit():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "619\nk = 3\n")
+
+
+# Every command"s report, with each miss branch: (exit code, sha256 of the
+# text stdout, sha256 of the --json stdout), as printed when every handler
+# wrote its own "command" and "window" keys.  The files named here are read
+# from the working directory, so no report echoes a temporary path.
+REPORT_FILES = {
+    "family.txt": "0:1,1:1\n",
+    "base.txt": "0:1;2:1;4:1\n",
+    "chain.txt": "0:1;1:1;2:1;3:1\n0:1;1:1;2:1;3:1\n",
+    "chain2.txt": "3:1\n3:1\n3:1\n",
+}
+S4 = "0:1;1:1;2:1;3:1"
+REPORT_SHA256 = {
+    ("span", "--k", "2", "--nmax", "4", "0:2;1:1,2:2"): (
+        0, "1b4f9077a6a515a0e8b0fb648535666c782d4a34b39e49ec44fca5003c10ea70",
+        "25d6e79bff6e6b5aab8241f6b14ef9ee52765f573bb55a5d0ba689f54b173f82",
+    ),
+    ("member", "--k", "2", "0:1,3:2", "--in", "0:2,1:1;3:2"): (
+        0, "21e95bcc520bc8159f5255b144adc217ad59f82f297f55575a278feea233719c",
+        "5d102c31469d3e4e647976aa4835391c2a5e9468e0cf96b8d6d9990f5eefd74f",
+    ),
+    ("member", "--k", "2", "1:2", "--in", "0:2,1:1;3:2"): (
+        1, "0642edaa364f7582b8490995876262fda45e344ed670359b867a9ace1fc4abb5",
+        "0a886da3c0b5a555a2cabf3c6e848de211cff5da3ddd50c1790ab372a1e3dab7",
+    ),
+    ("tetris", "--k", "2", "0:2,1:1"): (
+        0, "26a9922f87a2f541bd9fd379fdc8e41a7a563eadbf0c292aed69e21299204f26",
+        "015f6a2979b98ce57e44e99fe0c9e29346cf0b76c1b61d2b64e386b98dc3bb56",
+    ),
+    ("tetris", "--k", "2", "--j", "2", "3:2"): (
+        0, "9d94177083a756242bfa947ee784a6bf9f06f11e40aa89c0ac796ca8d6d16ed2",
+        "ddefd4f5c9871537afb78c55b4e09830b8e69be6494adb562ef0360058f193bc",
+    ),
+    ("gowers", "--k", "1", "--nmax", "4", "--coloring", "size_mod", "--m", "2"): (
+        0, "3ab19e69431d5fe844d85cd5697faa4951a357f4c4ee9bd5d8bf03222be798e4",
+        "68f0b8ea96c7b17431025a4a4200808d92ba7b720b3fd52d9bf457376c67b631",
+    ),
+    ("gowers", "--k", "1", "--nmax", "2", "--coloring", "min_mod", "--m", "2"): (
+        1, "225def020869ec69cb25e404419b7a3f8e02077b9fdc6df3a340b5356658ba43",
+        "c63e32a65b70abf4fa8eef5403d7c8ff57300ddd1f0a470db6c29c91bfcadf89",
+    ),
+    ("gowers", "--k", "2", "--nmax", "4", "--lenmax", "2", "--coloring", "max_mod", "--m", "1", "0:2;1:1,2:2"): (
+        0, "9604a037396cfbd0577fbe82d2bbbd59d56fc7ab2bb125387e8108a3eff47ee7",
+        "dd6fcf46b12bf331c6b08ef05761ce4fe26d41ed656eb9cf564270f7573f7675",
+    ),
+    ("gowers-verify", "--k", "1", "--nmax", "1", "--m", "1"): (
+        0, "647c6f827aaefced26e547ac80b1bd34c5c3fb39f7ab65d5594918d773f8194a",
+        "69d1a3685567f83223fd4cf310708ad098c39a47213d492cd4d3a68d8157b69f",
+    ),
+    ("gowers-verify", "--k", "1", "--nmax", "2", "--m", "2"): (
+        1, "0e4205aa36776d317a32b64b291e3c22a6e86428efaa17bebb84fbd6455825dc",
+        "0b269423b88a4f6a47915956732a17fb553b5d6729b23a2a2a888c40d0581243",
+    ),
+    ("ramsey2", "--k", "1", "--nmax", "4", "--coloring", "size_mod", "--n", "2", "--m", "2"): (
+        0, "0f3ddc4728e01233b72532ea9311a7cba93d787d46edf27fb6340628a24ea8c4",
+        "b450ba17ab13a1527d9ee93c794fcae366167af158d98c63bb34adcf48f00db9",
+    ),
+    ("ramsey2", "--k", "1", "--nmax", "5", "--coloring", "size_mod", "--r", "3", "--n", "2", "--m", "3"): (
+        1, "118019e36276832fb6243d1cea7fc612787bce803bc91f4974ce0cc17465113f",
+        "144d215782b23960309f9537be4944ae6645614f6150b05b1c735b18d651803f",
+    ),
+    ("forcing", "--k", "1", "--nmax", "4", "--family", "all_singletons", S4): (
+        0, "3ec19a06e1b6a0f0176ac325ac2ce537a3d4e6f9d173be097aea395b4e3fc4ab",
+        "e45868fbe698755793efe0d14ead8d4e8bc1b4310c0fe7ebfcd1a4f74c132834",
+    ),
+    ("forcing", "--k", "1", "--nmax", "4", "--family", "empty", S4): (
+        0, "4656264c90865d07d6a2169286fad5878cace4da3116045aeb516f6e788a167d",
+        "9a5c7a660960b0d10cd3d1196f7c571dd890b71ba61bce08465f56028ba95c05",
+    ),
+    ("forcing", "--k", "1", "--nmax", "4", "--family", "explicit:family.txt", S4): (
+        1, "c732a6b17068e5c1565b1b92eb5ed279848352a0d6bd02756298a9f4b9e5f4a9",
+        "0262696ab46e4fecd414e6674647b331262daf5c487fa6643bb4f374dcef7522",
+    ),
+    ("forcing", "--k", "1", "--nmax", "4", "--family", "support_ge:2", "--min-len", "2", S4): (
+        1, "97e89b1a0fe22add227ae1d3001e841391b9561659e3e8bf22adc99786ce00a9",
+        "3c080fac5bddead006454b121c0e5d1d775cb141faf1c0bcede600079626404e",
+    ),
+    ("galvin", "--k", "1", "--nmax", "6", "--family", "min_even_first", "--m", "2"): (
+        0, "f0070eb0ac04aec8b9995d9531edec5352b086dfc22a27a1a29c5d98cd400f04",
+        "3bf3d71265af8440dcc33e071fa92ed7b3048b41d76136ac962b92d698c61142",
+    ),
+    ("galvin", "--k", "1", "--nmax", "8", "--family", "support_ge:3", "--m", "3"): (
+        1, "8869142eb037aee95819aadccf927bd5918a33c0cea24050713c05b7194eb7f3",
+        "a0674c541579542198cff9cb3319272bfa175cbd7892d8a72d388394690f4825",
+    ),
+    ("classify", "--k", "1", "--nmax", "6", "--relation", "size_parity", "--m", "2"): (
+        0, "6587b8edc0514598a91b2bfc50e72129ef1513c31d8e8bbc7162829ac80b44fe",
+        "bb6a83083cba8ddf848c02f75453bcd5580cb02c849bb8cfcff75f683d82da71",
+    ),
+    ("classify", "--k", "2", "--nmax", "6", "--relation", "full", "--m", "2"): (
+        0, "687b1a8d6bb4c4807876b0caac5875c6c82f0f844fd471ea69c20a4f8fcaecde",
+        "0a1b9d5bae936a3400e59d19edefb53388ed38d2a0d349bc5e90a1ea8051c53b",
+    ),
+    ("classify", "--k", "2", "--nmax", "5", "--relation", "size_parity", "--m", "2"): (
+        1, "48773c807c5efc37e722e602ab1acbaaa6b4fe109d4d82d408cd8fbb036434df",
+        "65c9c014aac6d9d20d18ce226e41a2e50db96011d63556e9b8b52f0ed635f825",
+    ),
+    ("sos", "--k", "2", "0:1,1:2,2:1"): (
+        0, "622f12d9c94ae06aaf56a4c804d24e80deb7e02b56cf516ffd33fb0df61ca424",
+        "8aaff38dae5c97d29a06ef3f03b3c80829eec796e152d3131bf906e76d91b17d",
+    ),
+    ("sos", "--k", "2", "--zero-convention", "first-zero", "0:1,1:2,2:1"): (
+        1, "9db8bd4d60fd7c1a9c3aac6fe27f20b8439dea1131c23c6c529a434ba77f7fc7",
+        "8f9224208731958a25f8771916e12a77f2e9bf4f725380aa6eaee87bc46c7553",
+    ),
+    ("sos", "--k", "2", "0:2"): (
+        1, "7a99cb02d3ac4722f724164bc7f91842b084eb63720e61316857f6deb29b6071",
+        "555bd0d5ae01a2de599ad6cfb184d6abe5b44546c371eb32ff6beeb862673c55",
+    ),
+    ("tk", "3"): (
+        0, "ecea9559d4a8514676d5142a683aed7241728b79a673039f6d8fdf75c0da9c56",
+        "fcf1b311d544693c08065416e63ee26e1fbd678456c05c9646c1cf2527153354",
+    ),
+    ("mu", "--k", "2", "0:2,1:1;3:2,4:2"): (
+        0, "650c765e22989e4bf94d7ea88cb5a1eef5f88bd28430c9e0682ff60c28330bd5",
+        "fd88b01a72cfcc5f656f510328ccfbf103d15701d4341890c9cd2c7a88702972",
+    ),
+    ("mu", "--k", "1", ""): (
+        0, "ccdfce81eaad04f894c7be765b19c9ee03fa664e7d168f4055914781d0c68c0e",
+        "1ecfa875c1699bbe8d0d002b00be8f169fcc46016a6902474898c42f2cd5a361",
+    ),
+    ("top-member", "--k", "1", "--nmax", "6", "--family", "base.txt", "--len", "2", "0:1;1:1;2:1;3:1;4:1;5:1"): (
+        0, "051ee2ab60ecf92ffc3654dc972667af77eb77620c4e9544df6f851a057eaa67",
+        "4199f083cbbb88b079219d03795c2aca72f0f53cb84bb0fa6589829f34053ef6",
+    ),
+    ("top-member", "--k", "1", "--nmax", "6", "--family", "base.txt", "--len", "4", "0:1;1:1;2:1;3:1;4:1;5:1"): (
+        1, "81eb40042eb459891904f65f1bb24b01c945f57da97c3a80fa7b0036e8c69b86",
+        "83431cecc33029d053b0ab7fac9a51e97e06cb5708abbbb3e2c672a14b62b24a",
+    ),
+    ("diagonal", "--k", "1", "--nmax", "4", "--chain", "chain.txt"): (
+        0, "35e76833d87c78e1c310e16d0d8a359e31cfd241e39f059ef3ffd57db43e3faa",
+        "0ae2ead0d85bc381001720cc82be6b9c23732a05a8824d3e42d3201d3eabfc58",
+    ),
+    ("diagonal", "--k", "1", "--nmax", "4", "--chain", "chain2.txt"): (
+        1, "db8e36743f4548dea8f95bc1c112e5c469c36cc5d45f6ee9d94d1b8ab2ab0c90",
+        "ceb45a161ff46bf1cdd2323fb495957cd12561c4191fd587aa428d6457510c27",
+    ),
+    ("theta", "--k", "2", "--delta", "1/4", "0:0,2:1"): (
+        0, "ed6876b73794967941a9a02b9268cfd7f2973c3d1caa69d40ee53376f0bea3d0",
+        "3fbb9997d4630b755755d305f8c2850d0b31eb6d5a61a830b887cdf6040365ef",
+    ),
+    ("theta-inv", "--k", "2", "0:2,2:1"): (
+        0, "1664d7fe8484b54da4f9c536332ef199806b90f5ecec4826bded160cf0e683fd",
+        "b8ca571733da1a39d3b96fa41b9fd87095abd4b54183a56a109ea1705fe2a824",
+    ),
+    ("kfor", "3/4"): (
+        0, "8e168ba367b15898e4aa7263d882d42be0e28b8802d3a9c04f4c234108961751",
+        "2b0c33055471c12ddfa2dc857da67f9d18b29636c892ad0a9f5b6066ab5d9866",
+    ),
+}
+
+
+def test_report_bytes_and_exit_codes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in REPORT_FILES.items():
+        (tmp_path / name).write_text(text)
+    for argv, (code, text_digest, json_digest) in REPORT_SHA256.items():
+        for mode, digest in (((), text_digest), (("--json",), json_digest)):
+            got, out, err = invoke([*argv, *mode])
+            assert (got, err, _sha256(out)) == (code, "", digest), (argv, mode)

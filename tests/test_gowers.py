@@ -148,6 +148,25 @@ def test_table_colors_are_checked_when_the_table_is_built():
     assert ColoringSpec.from_table({"0:1": 0, "9:1": 2}, 3).table["9:1"] == 2
 
 
+def test_table_totality_stops_at_the_first_missing_sequence(monkeypatch):
+    # the window holds 2^16 - 1 elements; listing every length-3 sequence
+    # over them before the first lookup took seconds and hundreds of MiB
+    built = []
+    check = BlockSeq.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(BlockSeq, "__post_init__", counted)
+    f = ColoringSpec.from_table({"0:1;1:1;2:1": 0}, 2, arity=3)
+    with pytest.raises(FinkError, match=r"^coloring not total on window: missing '0:1;1:1;2:1,3:1'$"):
+        f.check_total(Window(1, 16, 16))
+    assert len(built) < 10
+    with pytest.raises(FinkError, match=r"^length 3 exceeds window len_max=2$"):
+        f.check_total(Window(1, 16, 2))
+
+
 def test_parse_coloring_forms(tmp_path):
     assert parse_coloring("const:1", 2).color(parse_seq("0:1", 1).elems[0]) == 1
     assert parse_coloring("value_at:3", 2).kind == "value_at"
