@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -46,6 +47,9 @@ runs.  --threads is accepted for compatibility and has no effect."""
 EXIT_OK = 0
 EXIT_EXHAUSTED = 1
 EXIT_USAGE = 2
+# the reader closed stdout before the report was written: 128 + SIGPIPE, as a
+# shell reports a process that SIGPIPE ended
+EXIT_BROKEN_PIPE = 141
 
 # Python prints an int of at most 4300 digits; t(858) has 4297, t(859) has 4303.
 TK_MAX_K = 858
@@ -499,9 +503,20 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The parsers run has built, one per key: a command name, or None for every
+# other first argument (none, --help, an unknown name), so the table holds at
+# most len(_COMMANDS) + 1 entries.  Reuse is safe: every option default is
+# immutable, parse_args leaves the parser as it found it, and help reads the
+# terminal width when it is printed, not when the parser is built.
+_PARSERS: dict[Optional[str], argparse.ArgumentParser] = {}
+
+
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
+    key = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _PARSERS.get(key)
+    if parser is None:
+        parser = _PARSERS[key] = build_parser(key)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -522,7 +537,18 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """run() as a process.  A reader that closes stdout early, as head does,
+    ends it with EXIT_BROKEN_PIPE and nothing on stderr, in text and --json
+    mode alike."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the signal module's docs: stdout goes to devnull, so
+        # the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -451,19 +451,25 @@ def leq(A: BlockSeq, B: BlockSeq) -> bool:
 def successor_starts(candidates: list[FinkElement]) -> list[int]:
     """Per candidate c, the index of the first candidate that may follow c.
 
-    Precondition: the candidates are in span order, that is, grouped by first
-    block in block order; a sublist of a span_enumerate listing qualifies.
-    Say c ends in block A[t].  A candidate whose first block is A[s], s <= t,
-    starts at or before A[s]'s first peak (tetris images keep the peaks), so
-    not after c, which ends at or after A[t]'s last peak; every candidate from
-    A[t + 1] on starts after c.  So the index is where the suffix minima of
-    min_supp first exceed c.max_supp.
+    Computed for any list as one past the last candidate that starts at or
+    before c.max_supp (0 when there is none).  On candidates in span order,
+    that is, grouped by first block in block order (a sublist of a
+    span_enumerate listing qualifies), it is that first index.  Say c ends in
+    block A[t].  A candidate whose first block is A[s], s <= t, starts at or
+    before A[s]'s first peak (tetris images keep the peaks), so not after c,
+    which ends at or after A[t]'s last peak; every candidate from A[t + 1] on
+    starts after c.
     """
-    lowest = list(itertools.accumulate((c.min_supp for c in reversed(candidates)), min))
-    lowest.reverse()
+    firsts = [c.values[0][0] for c in candidates]
+    ends = [c.values[-1][0] for c in candidates]
+    # per start position, one past its last candidate; then, over the sorted
+    # positions, one past the last candidate starting at or before each
+    past = dict(zip(firsts, range(1, len(firsts) + 1)))
+    lows = sorted(past)
+    reach = list(itertools.accumulate(map(past.__getitem__, lows), max, initial=0))
     # one bisection, and one int object, per distinct end
-    start = {end: bisect.bisect_right(lowest, end) for end in {c.max_supp for c in candidates}}
-    return [start[c.max_supp] for c in candidates]
+    start = {end: reach[bisect.bisect_right(lows, end)] for end in set(ends)}
+    return list(map(start.__getitem__, ends))
 
 
 def extension_tree(
@@ -480,12 +486,12 @@ def extension_tree(
     max_len elements, or one that no candidate extends.  The walk is lazy,
     so a caller may stop at any yield.
     """
-    after = successor_starts(candidates)
-    total = len(candidates)
     floor = stem.max_supp
     if len(stem) >= max_len or all(c.min_supp <= floor for c in candidates):
         yield stem.elems, root
         return
+    after = successor_starts(candidates)
+    total = len(candidates)
     # per node on the current path: its elements, its state, its untried picks
     stack = [(stem.elems, root, (i for i in range(total) if candidates[i].min_supp > floor))]
     while stack:

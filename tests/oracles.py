@@ -13,6 +13,7 @@ flat, by sequences_over over one span_enumerate, where rejects and decides
 grow each condensation's span inside B's with the condensation walk.
 """
 
+import bisect
 import itertools
 from fractions import Fraction
 
@@ -97,6 +98,18 @@ def ordered_span(A: BlockSeq) -> list:
                         merged[pos] = val - j
             out.append(tuple(sorted(merged.items())))
     return out
+
+
+def suffix_min_successor_starts(candidates) -> list:
+    """Per candidate c, where the candidates that may follow c begin: the
+    first index whose suffix minimum of min_supp exceeds c.max_supp.
+
+    It computes successor_starts from the suffix minima, where the library
+    keeps one past the last candidate per start position.
+    """
+    lowest = list(itertools.accumulate((c.min_supp for c in reversed(candidates)), min))
+    lowest.reverse()
+    return [bisect.bisect_right(lowest, c.max_supp) for c in candidates]
 
 
 def block_successor_starts(candidates, A: BlockSeq) -> list:

@@ -560,11 +560,63 @@ def test_a_query_builds_only_its_own_subparser(monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    monkeypatch.setattr(cli, "_PARSERS", {})
     assert invoke(["tk", "1"])[0] == 0
     assert built == ["tk"]
     built.clear()
     assert invoke(["--help"])[0] == 0
     assert built == [name for name in HELP_SHA256 if name]
+    built.clear()
+    # the tk parser is kept from the first query
+    assert invoke(["tk", "1"])[0] == 0
+    assert built == []
+
+
+def test_a_kept_parser_answers_as_a_fresh_one(monkeypatch):
+    gowers = ["gowers", "--k", "1", "--nmax", "8", "--coloring", "size_mod", "--m", "3"]
+    span = ["span", "--k", "2", "--nmax", "4", "0:2;1:1,2:2"]
+    fresh = {}  # each query on an empty table
+    for first, second in (([*span, "--json"], span), ([*gowers, "--r", "3"], gowers)):
+        for argv in (first, second):
+            monkeypatch.setattr(cli, "_PARSERS", {})
+            fresh[tuple(argv)] = invoke(argv)
+        assert fresh[tuple(first)] != fresh[tuple(second)]
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        assert invoke(first) == fresh[tuple(first)]
+        # a usage error on the same parser, between the two queries
+        code, out, err = invoke([*first, "--bogus"])
+        assert (code, out) == (2, "") and "unrecognized arguments: --bogus" in err
+        assert invoke(second) == fresh[tuple(second)]
+        assert list(cli._PARSERS) == [first[0]]
+
+
+def test_help_and_an_unknown_name_share_one_parser(monkeypatch):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    assert invoke(["--help"])[0] == 0
+    assert invoke(["bogus"])[0] == 2
+    assert invoke([])[0] == 2
+    assert invoke(["--json"])[0] == 2
+    assert built == [None] and list(cli._PARSERS) == [None]
+
+
+def test_help_width_is_read_when_help_is_printed(monkeypatch):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = {command: invoke([command, "--help"] if command else ["--help"])[1] for command in HELP_SHA256}
+    assert _sha256(wide[""]) != HELP_SHA256[""]
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, digest in HELP_SHA256.items():
+        code, out, err = invoke([command, "--help"] if command else ["--help"])
+        assert (code, err) == (0, "") and _sha256(out) == digest, command
+    assert set(cli._PARSERS) == set(cli._COMMANDS) | {None}
 
 
 def test_python_dash_m_finkit():
@@ -574,6 +626,38 @@ def test_python_dash_m_finkit():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "619\nk = 3\n")
+
+
+def _closed_pipe_run(mode, read_first_line):
+    """Run a large span query as a process whose stdout reader leaves early:
+    after one line, or before anything is written."""
+    seq = ";".join(f"{i}:1" for i in range(16))
+    argv = [sys.executable, "-m", "finkit", "span", "--k", "1", "--nmax", "16", *mode, seq]
+    # buffered stdout, as a plain python run has it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if read_first_line:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=60), line, err
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    return proc.returncode, None, proc.stderr
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_a_closed_pipe_exits_quietly_with_one_code(mode):
+    code, line, err = _closed_pipe_run(mode, read_first_line=True)
+    assert (code, err) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert line == (b"{\n" if mode else b"# window k=1 n_max=16 len_max=16\n")
+    assert _closed_pipe_run(mode, read_first_line=False)[::2] == (cli.EXIT_BROKEN_PIPE, b"")
 
 
 # Every command"s report, with each miss branch: (exit code, sha256 of the

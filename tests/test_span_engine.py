@@ -35,6 +35,7 @@ from oracles import (
     raw_extensions,
     raw_sequences,
     raw_span,
+    suffix_min_successor_starts,
     to_elem,
     to_seq,
 )
@@ -238,6 +239,18 @@ def test_successor_starts_equal_the_block_reference(A):
     assert successor_starts(span) == block_successor_starts(span, A)
     sos = [x for x in span if sos_check(x).ok]
     assert successor_starts(sos) == block_successor_starts(sos, A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_seqs(), st.randoms(use_true_random=False))
+def test_successor_starts_equal_the_suffix_minimum_reference(A, rng):
+    # on the span, and on sublists of it in span order that keep any subset
+    span = span_enumerate(A, window_of(A))
+    assert successor_starts(span) == suffix_min_successor_starts(span)
+    for _ in range(4):
+        keep = rng.random()
+        sub = [x for x in span if rng.random() < keep]
+        assert successor_starts(sub) == suffix_min_successor_starts(sub)
 
 
 @st.composite
