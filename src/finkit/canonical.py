@@ -85,7 +85,8 @@ class SosResult:
 
 
 def sos_check(a: FinkElement, zero_convention: str = "support-boundary") -> SosResult:
-    """Is a a staircase system: a single rise through every level and fall back?
+    """Is a a staircase system: nested level landmarks, plus climb:1 under
+    "first-zero"?  Not one rise and fall: 0:1,1:2,2:1,3:3,4:2,5:1 passes.
 
     Checks, in order: (range) every level 1..k is attained; (nesting) the
     level landmarks nest, min_i < min_j <= max_j < max_i for i < j; (climb:1)
@@ -121,6 +122,11 @@ def sos_check(a: FinkElement, zero_convention: str = "support-boundary") -> SosR
     return SosResult(True, None)
 
 
+# per relation kind, its name; a level kind's name at k >= 2 adds the level
+_RELATION_NAMES = {"equality": "=", "full": "FIN^2", "size_parity": "size_parity", "table": "table",
+                   "min_level": "min", "max_level": "max", "minmax_level": "(min,max)"}
+
+
 @dataclass(frozen=True)
 class EquivRelSpec:
     """A decidable equivalence relation on windowed elements.
@@ -137,6 +143,10 @@ class EquivRelSpec:
     classes: Optional[dict[str, str]] = None  # element text -> its class's root text
     window: Optional[Window] = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in _RELATION_NAMES:
+            raise FinkError(f"unknown relation kind {self.kind!r}")
+
     def key(self, a: FinkElement):
         """The class of a: two elements are related exactly when their keys are equal."""
         if self.kind == "equality":
@@ -151,29 +161,17 @@ class EquivRelSpec:
             return _first_at(reversed(a.values), self.level)
         if self.kind == "minmax_level":
             return _first_at(a.values, self.level), _first_at(reversed(a.values), self.level)
-        if self.kind == "table":
-            if self.window is not None and not self.window.contains_element(a):
-                raise FinkError(f"element {a} outside the relation's window")
-            text = format_element(a)
-            return self.classes.get(text, text)  # unmentioned: a class of its own
-        raise FinkError(f"unknown relation kind {self.kind!r}")
+        if self.window is not None and not self.window.contains_element(a):  # table
+            raise FinkError(f"element {a} outside the relation's window")
+        text = format_element(a)
+        return self.classes.get(text, text)  # unmentioned: a class of its own
 
     def holds(self, a: FinkElement, b: FinkElement) -> bool:
         return self.key(a) == self.key(b)
 
     def name(self, k: int) -> str:
-        if self.kind == "equality":
-            return "="
-        if self.kind == "full":
-            return "FIN^2"
-        if self.kind == "size_parity":
-            return "size_parity"
-        if self.kind == "table":
-            return "table"
-        base = {"min_level": "min", "max_level": "max", "minmax_level": "(min,max)"}[
-            self.kind
-        ]
-        return base if k == 1 else f"{base}_{self.level}"
+        base = _RELATION_NAMES[self.kind]
+        return f"{base}_{self.level}" if k > 1 and self.kind.endswith("_level") else base
 
     @staticmethod
     def from_pairs(pairs, k: int, window: Optional[Window] = None) -> "EquivRelSpec":

@@ -101,6 +101,10 @@ class CoidealPresentation:
     base: tuple[BlockSeq, ...] = ()
     peak_pred: Optional[Callable[[set[int]], bool]] = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("all", "top_of", "mu_over"):
+            raise FinkError(f"unknown coideal kind {self.kind!r}")
+
     def contains(self, A: BlockSeq, L: int = 1) -> bool:
         """Does A belong, with a witness of length L for "top_of"?  L must lie
         in 1..len_max for every kind."""
@@ -109,9 +113,7 @@ class CoidealPresentation:
             return True
         if self.kind == "top_of":
             return first_common_condensation(self.base, A, L, self.window) is not None
-        if self.kind == "mu_over":
-            return self.peak_pred(mu(A))
-        raise FinkError(f"unknown coideal kind {self.kind!r}")
+        return self.peak_pred(mu(A))  # mu_over
 
 
 @dataclass(frozen=True)

@@ -174,14 +174,6 @@ class Window:
     def contains_element(self, x: FinkElement) -> bool:
         return x.max_supp < self.n_max
 
-    def require_inside(self, a: BlockSeq, what: str = "sequence") -> None:
-        """Supports must fit; len_max caps constructed sequences, not inputs."""
-        for x in a:
-            if not self.contains_element(x):
-                raise FinkError(
-                    f"{what} {a!s} has support past window n_max={self.n_max}"
-                )
-
     def require_length(self, n: int, what: str = "target length") -> None:
         """Lengths of constructed sequences lie in 1..len_max."""
         if not 1 <= n <= self.len_max:
@@ -332,6 +324,22 @@ class SpanState:
         return itertools.chain.from_iterable(self.added)
 
 
+# A span is listed element by element; a larger one is refused before it is built.
+SPAN_MAX_ELEMENTS = 2**20
+
+
+def _admit_span(A: BlockSeq, w: Window) -> None:
+    """The one check before a span is built: its size, then that A's supports
+    fit the window (len_max caps constructed sequences, not A)."""
+    # each block is absent or takes one of k exponents, and some exponent is 0
+    if (A.k + 1) ** len(A) - A.k ** len(A) > SPAN_MAX_ELEMENTS:
+        raise FinkError(
+            f"the span of {len(A)} blocks at k={A.k} has more than {SPAN_MAX_ELEMENTS} elements"
+        )
+    if A.max_supp >= w.n_max:  # the blocks are separated, so the last ends last
+        raise FinkError(f"block sequence {A} has support past window n_max={w.n_max}")
+
+
 def span_enumerate(A: BlockSeq, w: Window) -> list[FinkElement]:
     """The span [A]: every block sum of tetris images with some exponent 0.
 
@@ -344,9 +352,10 @@ def span_enumerate(A: BlockSeq, w: Window) -> list[FinkElement]:
     Built in one pass over the blocks (see _span_walk).  A is validated at
     the boundary, and each element is composed from its images, not checked
     again: each image attains its own level, the blocks' supports are
-    separated and some exponent is 0, so every sum is in FIN_k.
+    separated and some exponent is 0, so every sum is in FIN_k.  Refused
+    first: a span past SPAN_MAX_ELEMENTS elements, then an A past the window.
     """
-    w.require_inside(A, "block sequence")
+    _admit_span(A, w)
     images = [_tetris_images(x) for x in A.elems]
     return [_composed_element(A.k, values) for values in _span_walk(images, images)]
 
@@ -357,9 +366,9 @@ def span_texts(A: BlockSeq, w: Window) -> list[str]:
 
     Each tetris image of each block is formatted once, as "pos:val" pairs,
     and an element's text is its images' texts joined by commas.  Valid by
-    construction, as in span_enumerate.
+    construction, and refused on the same terms, as in span_enumerate.
     """
-    w.require_inside(A, "block sequence")
+    _admit_span(A, w)
     images = [
         [",".join(f"{p}:{v}" for p, v in image) for image in _tetris_images(x)] for x in A.elems
     ]
@@ -407,33 +416,23 @@ def _span_walk(images: list, heads: list) -> list:
 def decompose(x: FinkElement, A: BlockSeq) -> Optional[Decomposition]:
     """The unique way x arises from A's generators, or None if x is not in [A].
 
-    For each generator meeting supp(x) the exponent is forced by the
-    generator's peak; the supports of the selected generators must cover
-    supp(x) and some exponent must be 0.
+    For each generator meeting supp(x) the exponent is forced: x's largest
+    value on the generator's support is k minus it.  Every position of x
+    must lie on a selected generator, and some exponent must be 0.
     """
     if x.k != A.k:
         raise FinkError(f"level mismatch: element k={x.k}, sequence k={A.k}")
-    k = A.k
+    rest = dict(x.values)
     parts = []
-    covered: set[int] = set()
-    xsupp = set(x.support())
     for i, gen in enumerate(A.elems):
-        if xsupp.isdisjoint(gen.support()):
+        got = [rest.pop(pos, 0) for pos, _ in gen.values]
+        j = A.k - max(got)
+        if j == A.k:  # gen misses x
             continue
-        peak = gen.peaks()[0]
-        j = k - x.value_at(peak)
-        if not 0 <= j <= k - 1:
+        if any(v != max(val - j, 0) for v, (_, val) in zip(got, gen.values)):
             return None
-        for pos, val in gen.values:
-            if x.value_at(pos) != max(val - j, 0):
-                return None
         parts.append((i, j))
-        covered.update(gen.support())
-    if not parts or not xsupp <= covered:
-        return None
-    if all(j != 0 for _, j in parts):
-        return None
-    return Decomposition(tuple(parts))
+    return None if rest or all(j for _, j in parts) else Decomposition(tuple(parts))
 
 
 def recompose(d: Decomposition, A: BlockSeq) -> FinkElement:

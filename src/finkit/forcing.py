@@ -46,6 +46,10 @@ class FamilySpec:
     s: int = 0
     members: frozenset[str] = frozenset()
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("empty", "all_singletons", "min_even_first", "support_ge", "explicit"):
+            raise FinkError(f"unknown family kind {self.kind!r}")
+
     def contains(self, b: BlockSeq) -> bool:
         elems = getattr(b, "elems", b)
         if self.kind == "empty":
@@ -56,9 +60,7 @@ class FamilySpec:
             return len(elems) >= 1 and elems[0].min_supp % 2 == 0
         if self.kind == "support_ge":
             return len(elems) >= 1 and all(len(x.values) >= self.s for x in elems)
-        if self.kind == "explicit":
-            return ";".join(map(format_element, elems)) in self.members
-        raise FinkError(f"unknown family kind {self.kind!r}")
+        return ";".join(map(format_element, elems)) in self.members  # explicit
 
     @staticmethod
     def explicit(seqs) -> "FamilySpec":

@@ -67,6 +67,9 @@ class ColoringSpec:
     func: Optional[Callable[[Colorable], int]] = None
 
     def __post_init__(self) -> None:
+        kinds = ("const", "min_mod", "max_mod", "size_mod", "value_at", "table", "func")
+        if self.kind not in kinds:
+            raise FinkError(f"unknown coloring kind {self.kind!r}")
         if self.arity < 1:
             raise FinkError(f"coloring arity must be >= 1, got {self.arity}")
         if self.r < 2:
@@ -235,8 +238,6 @@ def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRep
     """Search for B <= A of length m with f constant on all length-n
     block sequences drawn from the span of B (n = f.arity)."""
     n = f.arity
-    if n < 1:
-        raise FinkError(f"sequence coloring arity must be >= 1, got {n}")
     if n > m:
         raise FinkError(f"arity {n} exceeds target length {m}")
     w.require_length(m)

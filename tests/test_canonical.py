@@ -113,6 +113,13 @@ def test_sos_unknown_convention():
         sos_check(elem("0:1", 1), "nonsense")
 
 
+def test_unknown_relation_kind_is_refused_when_built():
+    with pytest.raises(FinkError, match="^unknown relation kind 'bogus'$"):
+        EquivRelSpec("bogus")
+    names = [EquivRelSpec(kind, level=2).name(2) for kind in ("equality", "min_level", "table")]
+    assert names == ["=", "min_2", "table"]
+
+
 # -- equivalence relations ----------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from finkit import FinkElement, cli, parse_element, t_count
+from finkit import FinkElement, cli, core, parse_element, t_count
 from finkit.cli import TK_MAX_K, _cmd_tk, render_text, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -234,6 +234,10 @@ def test_sos_and_mu():
     assert code == 0 and "sos = true" in out
     code, out, _ = invoke(["sos", "--k", "2", "0:2"])
     assert code == 1 and '"range"' in out
+    # nested level landmarks, not one rise and one fall: this falls back to 1
+    # between its rises and passes, so a change of definition shows here
+    code, out, _ = invoke(["sos", "--k", "3", "0:1,1:2,2:1,3:3,4:2,5:1"])
+    assert code == 0 and "sos = true" in out.splitlines()
     code, out, _ = invoke(["mu", "--k", "2", "0:2,1:1;3:2,4:2"])
     assert code == 0 and out.splitlines()[0] == "0 3 4"
 
@@ -467,10 +471,10 @@ def test_span_refuses_a_huge_span_before_building_it():
 
 def test_span_bound_is_the_exact_span_size(monkeypatch):
     argv = ["span", "--k", "2", "--nmax", "6", "0:2;1:1,2:2;4:2"]  # 3^3 - 2^3 = 19 elements
-    monkeypatch.setattr(cli, "SPAN_MAX_ELEMENTS", 19)
+    monkeypatch.setattr(core, "SPAN_MAX_ELEMENTS", 19)
     code, out, _ = invoke(argv)
     assert code == 0 and len(out.splitlines()) == 1 + 19
-    monkeypatch.setattr(cli, "SPAN_MAX_ELEMENTS", 18)
+    monkeypatch.setattr(core, "SPAN_MAX_ELEMENTS", 18)
     code, out, err = invoke(argv)
     assert (code, out) == (2, "")
     assert err == "error: the span of 3 blocks at k=2 has more than 18 elements\n"
@@ -485,6 +489,37 @@ def test_span_checks_its_size_then_the_window():
     code, out, err = invoke(["span", "--k", "1", "--nmax", "2", "0:1;5:1"])
     assert (code, out) == (2, "")
     assert err == "error: block sequence 0:1;5:1 has support past window n_max=2\n"
+
+
+SEQ21 = ";".join(f"{i}:1" for i in range(21))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gowers", "--k", "1", "--nmax", "21", "--coloring", "const:0", "--m", "1"],
+    ["gowers", "--k", "2", "--nmax", "13", "--coloring", "const:0", "--m", "1"],
+    ["ramsey2", "--k", "1", "--nmax", "21", "--coloring", "size_mod", "--n", "2", "--m", "3"],
+    ["ramsey2", "--k", "1", "--nmax", "21", "--coloring", "table:{pairs}", "--n", "2", "--m", "3"],
+    ["galvin", "--k", "1", "--nmax", "21", "--family", "empty", "--m", "2"],
+    ["classify", "--k", "1", "--nmax", "21", "--relation", "size_parity", "--m", "2"],
+    ["forcing", "--k", "1", "--nmax", "21", "--family", "empty", SEQ21],
+    ["top-member", "--k", "1", "--nmax", "21", "--family", "{family}", "--len", "2", SEQ21],
+    ["diagonal", "--k", "1", "--nmax", "21", "--chain", "{chain}"],
+], ids=["gowers", "gowers-k2", "ramsey2", "ramsey2-table", "galvin", "classify", "forcing",
+        "top-member", "diagonal"])
+def test_every_command_refuses_a_span_over_the_bound_at_once(tmp_path, argv):
+    # the one span bound of core: gowers --nmax 21 took seconds and half a
+    # GiB for one node before every command shared span's check
+    files = {"pairs": "0:1;1:1\t0\n", "family": "0:1;1:1\n", "chain": SEQ21 + "\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(**{name: tmp_path / name for name in files}) for arg in argv]
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - start < 1.0
+    # the ambient is the window's nmax generators, or as many listed blocks
+    k, n = argv[argv.index("--k") + 1], argv[argv.index("--nmax") + 1]
+    assert (code, out) == (2, "")
+    assert err == f"error: the span of {n} blocks at k={k} has more than 1048576 elements\n"
 
 
 def test_span_builds_no_element_per_span_element(monkeypatch):
@@ -628,13 +663,15 @@ def test_python_dash_m_finkit():
     assert (proc.returncode, proc.stdout) == (0, "619\nk = 3\n")
 
 
-def _closed_pipe_run(mode, read_first_line):
+def _closed_pipe_run(mode, unbuffered, read_first_line):
     """Run a large span query as a process whose stdout reader leaves early:
     after one line, or before anything is written."""
     seq = ";".join(f"{i}:1" for i in range(16))
     argv = [sys.executable, "-m", "finkit", "span", "--k", "1", "--nmax", "16", *mode, seq]
-    # buffered stdout, as a plain python run has it
+    # buffered stdout, as a plain python run has it, or unbuffered as under -u
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(SRC)
     if read_first_line:
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -652,12 +689,18 @@ def _closed_pipe_run(mode, read_first_line):
     return proc.returncode, None, proc.stderr
 
 
-@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
-def test_a_closed_pipe_exits_quietly_with_one_code(mode):
-    code, line, err = _closed_pipe_run(mode, read_first_line=True)
+@pytest.mark.parametrize(
+    "mode, unbuffered",
+    [((), False), (("--json",), False), ((), True), (("--json",), True)],
+    ids=["text", "json", "text-unbuffered", "json-unbuffered"],
+)
+def test_a_closed_pipe_exits_quietly_with_one_code(mode, unbuffered):
+    # unbuffered text mode used to lose the rest of a short write and exit 0
+    code, line, err = _closed_pipe_run(mode, unbuffered, read_first_line=True)
     assert (code, err) == (cli.EXIT_BROKEN_PIPE, b"")
     assert line == (b"{\n" if mode else b"# window k=1 n_max=16 len_max=16\n")
-    assert _closed_pipe_run(mode, read_first_line=False)[::2] == (cli.EXIT_BROKEN_PIPE, b"")
+    closed = _closed_pipe_run(mode, unbuffered, read_first_line=False)
+    assert closed[::2] == (cli.EXIT_BROKEN_PIPE, b"")
 
 
 # Every command"s report, with each miss branch: (exit code, sha256 of the

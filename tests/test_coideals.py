@@ -221,9 +221,10 @@ def test_diagonal_builds_each_chain_entry_once(monkeypatch):
 
 
 def test_unknown_kind():
+    # refused when the presentation is built, not on first use
     w = Window(1, 2, 2)
-    with pytest.raises(FinkError):
-        CoidealPresentation("wat", w).contains(generators(1, 2))
+    with pytest.raises(FinkError, match="^unknown coideal kind 'wat'$"):
+        CoidealPresentation("wat", w)
 
 
 # -- partition refinement --------------------------------------------------------------

@@ -95,6 +95,11 @@ def test_parse_family_forms(tmp_path):
     assert not F.contains(parse_seq("0:1", 1))
 
 
+def test_unknown_family_kind_is_refused_when_built():
+    with pytest.raises(FinkError, match="^unknown family kind 'bogus'$"):
+        FamilySpec("bogus")
+
+
 # -- accepts / rejects / decides ---------------------------------------------------
 
 

@@ -140,6 +140,11 @@ def test_table_coloring_must_be_total():
         gowers_search(f, G4, 2, W4)
 
 
+def test_unknown_coloring_kind_is_refused_when_built():
+    with pytest.raises(FinkError, match="^unknown coloring kind 'bogus'$"):
+        ColoringSpec(1, 2, "bogus")
+
+
 def test_table_colors_are_checked_when_the_table_is_built():
     # every entry, also one that no window element or sequence reads
     for table, arity in (({"0:1": 0, "9:1": 2}, 1), ({"0:1": -1}, 1), ({"0:1;1:1": 2}, 2)):

@@ -26,6 +26,7 @@ from finkit import (
     span_enumerate,
     window_elements,
 )
+from finkit import core
 from finkit.canonical import sos_check
 from finkit.core import SpanState, extension_tree, span_texts, successor_starts
 from oracles import (
@@ -120,6 +121,31 @@ def test_span_enumerate_keeps_no_reference_to_its_result():
     # outlived its caller until the next full collection
     span = span_enumerate(generators(1, 6), Window(1, 6, 6))
     assert sys.getrefcount(span) == 2  # this name and the argument
+
+
+@pytest.mark.parametrize("k, n", [(1, 21), (2, 13)])
+@pytest.mark.parametrize("build", [span_enumerate, span_texts], ids=["elements", "texts"])
+def test_a_span_over_the_bound_is_refused_before_any_of_it_is_built(monkeypatch, k, n, build):
+    # (k+1)^n - k^n elements: 2^21 - 1 and 3^13 - 2^13, both past 2^20
+    A, w = generators(k, n), Window(k, n, n)
+    built = []
+    monkeypatch.setattr(FinkElement, "__post_init__", built.append)
+    monkeypatch.setattr(core, "_composed_element", lambda k, values: built.append(values))
+    monkeypatch.setattr(core, "_tetris_images", built.append)
+    message = f"^the span of {n} blocks at k={k} has more than 1048576 elements$"
+    with pytest.raises(FinkError, match=message):
+        build(A, w)
+    assert built == []
+
+
+@pytest.mark.parametrize("build", [span_enumerate, span_texts], ids=["elements", "texts"])
+def test_a_span_within_the_bound_is_admitted(monkeypatch, build):
+    # 3^12 - 2^12 = 527345 elements: admitted, and handed to the walk, which
+    # here lists nothing so that the test builds no large span
+    walked = []
+    monkeypatch.setattr(core, "_span_walk", lambda images, heads: walked.append(len(images)) or [])
+    assert build(generators(2, 12), Window(2, 12, 12)) == []
+    assert walked == [12]
 
 
 def test_span_state_refuses_an_element_outside_the_ambient_span():
