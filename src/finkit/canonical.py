@@ -21,8 +21,8 @@ from .core import (
     Window,
     extension_tree,
     format_element,
-    int_param,
     parse_element,
+    parse_rule,
     read_lines,
     span_enumerate,
 )
@@ -202,16 +202,9 @@ class EquivRelSpec:
 def parse_relation(text: str, k: int, window: Optional[Window] = None) -> EquivRelSpec:
     """Parse the CLI syntax: equality, full, min_level:1, max_level:1,
     minmax_level:1, size_parity, table:FILE (elementA<TAB>elementB lines)."""
-    kind, colon, param = text.partition(":")
-    if kind in ("equality", "full", "size_parity"):
-        if colon:
-            raise FinkError(f"relation {kind!r} takes no parameter, got {text!r}")
-        return EquivRelSpec(kind)
-    if kind in ("min_level", "max_level", "minmax_level"):
-        level = int_param("relation", text)
-        if not 1 <= level <= k:
-            raise FinkError(f"level {level} outside 1..{k}")
-        return EquivRelSpec(kind, level=level)
+    kinds = {"equality": None, "full": None, "size_parity": None,
+             "min_level": int, "max_level": int, "minmax_level": int, "table": str}
+    kind, param = parse_rule("relation", text, kinds)
     if kind == "table":
         pairs = []
         for line in read_lines(param):
@@ -220,7 +213,11 @@ def parse_relation(text: str, k: int, window: Optional[Window] = None) -> EquivR
                 raise FinkError(f"relation table line {line!r} is not ELEMENT<TAB>ELEMENT")
             pairs.append(fields)
         return EquivRelSpec.from_pairs(pairs, k, window)
-    raise FinkError(f"unknown relation {text!r}")
+    if param is None:
+        return EquivRelSpec(kind)
+    if not 1 <= param <= k:
+        raise FinkError(f"level {param} outside 1..{k}")
+    return EquivRelSpec(kind, level=param)
 
 
 def _same_partition(r_keys: list, s_keys: list) -> bool:

@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Each subcommand is one entry of the command table below: its options and a
-handler that returns only the report fields of its own.  The table writes
-the frame around them: every report starts with "command", and a windowed
-report continues with "window", built once from the parsed options before
-the handler runs.  The --help description is _DESCRIPTION.
+Each subcommand is one entry of the command table below: its options, a
+handler that returns only the report fields of its own, and the text layout
+of those fields when it is not one "key = JSON value" line per field.  The
+table writes the frame around them: every report starts with "command", and
+a windowed report continues with "window", built once from the parsed
+options before the handler runs.  The --help description is _DESCRIPTION.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from .core import (
     decompose,
     format_element,
     format_seq,
-    generators,
     parse_element,
     parse_seq,
     read_lines,
     span_texts,
     tetris,
+    window_generators,
 )
 
 _DESCRIPTION = """Command-line entry point.
@@ -62,14 +63,17 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 # -- the command table --------------------------------------------------------
 # One entry per subcommand, in help order: its help line, the (flags, kwargs)
-# of each add_argument call in order, and the framed handler that turns the
-# parsed Namespace into (report, exit code).  @_command registers an entry.
+# of each add_argument call in order, the framed handler that turns the
+# parsed Namespace into (report, exit code), and the text layout that turns
+# the handler's fields into lines (None: one "key = JSON value" line each).
+# @_command registers an entry.
 
 
 class _Command(NamedTuple):
     help: str
     args: tuple
     handler: Callable
+    text: Optional[Callable]
 
 
 _COMMANDS: dict[str, _Command] = {}
@@ -79,13 +83,15 @@ def _arg(*flags: str, **kwargs) -> tuple:
     return flags, kwargs
 
 
-def _command(name: str, summary: str, *args: tuple, window: Optional[Callable] = None):
+def _command(name: str, summary: str, *args: tuple, window: Optional[Callable] = None,
+             text: Optional[Callable] = None):
     """Register handler(args) -> (fields, hit) under name and return it framed.
 
     A command that takes the _WINDOW options, or names its own window(args),
     is windowed: its handler is called as handler(args, w).  The framed
     report is "command", then "window" if windowed, then the handler's
-    fields; the exit code is EXIT_OK on a hit, else EXIT_EXHAUSTED.
+    fields; the exit code is EXIT_OK on a hit, else EXIT_EXHAUSTED.  Text
+    mode prints text(fields), a list of lines, when text is given.
     """
     if window is None and _WINDOW[0] in args:
         window = _window
@@ -102,7 +108,7 @@ def _command(name: str, summary: str, *args: tuple, window: Optional[Callable] =
             report.update(fields)
             return report, EXIT_OK if hit else EXIT_EXHAUSTED
 
-        _COMMANDS[name] = _Command(summary, args, framed)
+        _COMMANDS[name] = _Command(summary, args, framed, text)
         return framed
 
     return register
@@ -161,7 +167,7 @@ def _window(args) -> Window:
 def _ambient(args, w: Window) -> BlockSeq:
     if args.seq:
         return parse_seq(args.seq, w.k)
-    return generators(w.k, w.n_max)
+    return window_generators(w)
 
 
 def _seq_or_none(b: Optional[BlockSeq]) -> Optional[str]:
@@ -172,14 +178,23 @@ def _seq_or_none(b: Optional[BlockSeq]) -> Optional[str]:
 
 
 @_command("span", "enumerate the span of a block sequence",
-          *_WINDOW, _JSON, _arg("seq", help="block sequence, e.g. '0:1;1:1'"))
+          *_WINDOW, _JSON, _arg("seq", help="block sequence, e.g. '0:1;1:1'"),
+          text=lambda f: f["elements"])
 def _cmd_span(args, w):
     return {"elements": span_texts(parse_seq(args.seq, w.k), w)}, True
 
 
+def _member_text(f: dict) -> list[str]:
+    if f["member"]:
+        head = "member: " + " + ".join(f"T^{j}(a[{i}])" for i, j in f["decomposition"])
+    else:
+        head = "absent"
+    return [head, f"element = {f['element']}", f"ambient = {f['ambient']}", f"k = {f['k']}"]
+
+
 @_command("member", "decompose an element over a block sequence",
           _K, _arg("--in", dest="seq", required=True, help="ambient block sequence"), _JSON,
-          _arg("element"))
+          _arg("element"), text=_member_text)
 def _cmd_member(args):
     A = parse_seq(args.seq, args.k)
     x = parse_element(args.element, args.k)
@@ -247,12 +262,19 @@ def _verify_window(args) -> Window:
     return Window(args.k, args.nmax, max(args.m, 1))
 
 
+def _verify_text(f: dict) -> list[str]:
+    lines = [f"{key} = {json.dumps(f[key])}" for key in ("holds", "m", "r", "colorings_checked")]
+    if f["failing_coloring"] is None:
+        return lines + ["failing_coloring = null"]
+    return lines + ["failing_coloring:"] + [f"  {x}\t{c}" for x, c in f["failing_coloring"].items()]
+
+
 @_command(
     "gowers-verify", "check every coloring of a window has a witness",
     _K, _arg("--nmax", type=int, required=True), _THREADS, _JSON,
     _arg("--m", type=int, required=True), _arg("--r", type=int, default=2),
     _arg("--budget", type=int, default=2**24, help="max colorings to enumerate"),
-    window=_verify_window,
+    window=_verify_window, text=_verify_text,
 )
 def _cmd_gowers_verify(args, w):
     rep = gowers.verify_finite_gowers(args.k, args.m, args.r, args.nmax, budget=args.budget)
@@ -357,14 +379,17 @@ def _cmd_sos(args):
     }, res.ok
 
 
-@_command("tk", "size of the canonical relation list", _JSON, _arg("k", type=int))
+@_command("tk", "size of the canonical relation list", _JSON, _arg("k", type=int),
+          text=lambda f: [str(f["t"]), f"k = {f['k']}"])
 def _cmd_tk(args):
     if args.k > TK_MAX_K:
         raise FinkError(f"t({args.k}) has more than 4300 digits; k must be at most {TK_MAX_K}")
     return {"k": args.k, "t": canonical.t_count(args.k)}, True
 
 
-@_command("mu", "positions where the terms attain k", _K, _JSON, _arg("seq"))
+@_command("mu", "positions where the terms attain k", _K, _JSON, _arg("seq"),
+          text=lambda f: [" ".join(map(str, f["mu"])) or "(empty)",
+                          f"ambient = {f['ambient']}", f"k = {f['k']}"])
 def _cmd_mu(args):
     A = parse_seq(args.seq, args.k)
     return {"k": args.k, "ambient": format_seq(A), "mu": sorted(coideals.mu(A))}, True
@@ -432,7 +457,8 @@ def _cmd_theta_inv(args):
 
 
 @_command("kfor", "level and delta for a stability epsilon",
-          _JSON, _arg("epsilon", help="positive rational, e.g. 1 or 3/4"))
+          _JSON, _arg("epsilon", help="positive rational, e.g. 1 or 3/4"),
+          text=lambda f: [f"k={f['k']} delta={f['delta']}", f"epsilon = {f['epsilon']}"])
 def _cmd_kfor(args):
     eps = _rational("epsilon", args.epsilon)
     k, delta = net.k_for_epsilon(eps)
@@ -444,55 +470,14 @@ def _cmd_kfor(args):
 
 def render_text(report: dict) -> str:
     """Text rendering of a report dict; every field appears in the output."""
-    lines = []
-    if "window" in report:
-        w = report["window"]
-        lines.append(f"# window k={w['k']} n_max={w['n_max']} len_max={w['len_max']}")
-    cmd = report["command"]
-    skip = {"command", "window"}
-    if cmd == "span":
-        lines.extend(report["elements"])
-        skip.add("elements")
-    elif cmd == "member":
-        if report["member"]:
-            parts = " + ".join(f"T^{j}(a[{i}])" for i, j in report["decomposition"])
-            lines.append(f"member: {parts}")
-        else:
-            lines.append("absent")
-        skip |= {"member", "decomposition"}
-        lines.append(f"element = {report['element']}")
-        lines.append(f"ambient = {report['ambient']}")
-        lines.append(f"k = {report['k']}")
-        skip |= {"element", "ambient", "k"}
-    elif cmd == "tk":
-        lines.append(str(report["t"]))
-        lines.append(f"k = {report['k']}")
-        skip |= {"t", "k"}
-    elif cmd == "kfor":
-        lines.append(f"k={report['k']} delta={report['delta']}")
-        lines.append(f"epsilon = {report['epsilon']}")
-        skip |= {"k", "delta", "epsilon"}
-    elif cmd == "gowers-verify":
-        lines.append(f"holds = {json.dumps(report['holds'])}")
-        lines.append(f"m = {report['m']}")
-        lines.append(f"r = {report['r']}")
-        lines.append(f"colorings_checked = {report['colorings_checked']}")
-        if report["failing_coloring"] is None:
-            lines.append("failing_coloring = null")
-        else:
-            lines.append("failing_coloring:")
-            for elem, color in report["failing_coloring"].items():
-                lines.append(f"  {elem}\t{color}")
-        skip |= {"holds", "m", "r", "colorings_checked", "failing_coloring"}
-    elif cmd == "mu":
-        lines.append(" ".join(str(n) for n in report["mu"]) if report["mu"] else "(empty)")
-        lines.append(f"ambient = {report['ambient']}")
-        lines.append(f"k = {report['k']}")
-        skip |= {"mu", "ambient", "k"}
-    for key, value in report.items():
-        if key in skip:
-            continue
-        lines.append(f"{key} = {json.dumps(value)}")
+    fields = dict(report)
+    layout = _COMMANDS[fields.pop("command")].text
+    w = fields.pop("window", None)
+    lines = [] if w is None else [f"# window k={w['k']} n_max={w['n_max']} len_max={w['len_max']}"]
+    if layout is None:
+        lines.extend(f"{key} = {json.dumps(value)}" for key, value in fields.items())
+    else:
+        lines.extend(layout(fields))
     return "\n".join(lines) + "\n"
 
 
@@ -516,9 +501,6 @@ def run(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         report, code = _COMMANDS[args.command].handler(args)
-    except WindowExhausted as e:
-        print(f"exhausted: {e}", file=sys.stderr)
-        return EXIT_EXHAUSTED
     except (FinkError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

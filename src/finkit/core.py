@@ -68,10 +68,10 @@ class FinkElement:
         last = -1
         attained = False
         for pos, val in self.values:
-            if pos <= last:
-                raise InvalidElement(f"positions not strictly increasing at {pos}")
             if pos < 0:
                 raise InvalidElement(f"negative position {pos}")
+            if pos <= last:
+                raise InvalidElement(f"positions not strictly increasing at {pos}")
             if not 1 <= val <= self.k:
                 raise InvalidElement(f"value {val} at position {pos} outside 1..{self.k}")
             attained = attained or val == self.k
@@ -328,16 +328,28 @@ class SpanState:
 SPAN_MAX_ELEMENTS = 2**20
 
 
+def _admit_span_size(k: int, n: int) -> None:
+    """Refuse the span of n blocks at level k if it has more than
+    SPAN_MAX_ELEMENTS elements."""
+    # each block is absent or takes one of k exponents, and some exponent is 0,
+    # so the span has at least 2^n - 1 elements: a long A needs no power
+    if n > SPAN_MAX_ELEMENTS.bit_length() or (k + 1) ** n - k**n > SPAN_MAX_ELEMENTS:
+        raise FinkError(f"the span of {n} blocks at k={k} has more than {SPAN_MAX_ELEMENTS} elements")
+
+
 def _admit_span(A: BlockSeq, w: Window) -> None:
     """The one check before a span is built: its size, then that A's supports
     fit the window (len_max caps constructed sequences, not A)."""
-    # each block is absent or takes one of k exponents, and some exponent is 0
-    if (A.k + 1) ** len(A) - A.k ** len(A) > SPAN_MAX_ELEMENTS:
-        raise FinkError(
-            f"the span of {len(A)} blocks at k={A.k} has more than {SPAN_MAX_ELEMENTS} elements"
-        )
+    _admit_span_size(A.k, len(A))
     if A.max_supp >= w.n_max:  # the blocks are separated, so the last ends last
         raise FinkError(f"block sequence {A} has support past window n_max={w.n_max}")
+
+
+def window_generators(w: Window) -> BlockSeq:
+    """The window's n_max generators, whose span is the default ambient; one
+    whose span is past the bound is refused before a generator is built."""
+    _admit_span_size(w.k, w.n_max)
+    return generators(w.k, w.n_max)
 
 
 def span_enumerate(A: BlockSeq, w: Window) -> list[FinkElement]:
@@ -599,12 +611,23 @@ def parse_seq(text: str, k: int) -> BlockSeq:
         raise ParseError(str(e)) from None
 
 
-def int_param(rule: str, text: str) -> int:
-    """The integer after the colon of a CLI rule such as const:1; rule names
-    the kind of rule for the error."""
-    kind, _, param = text.partition(":")
+def parse_rule(rule: str, text: str, kinds: dict, unknown: str = "") -> tuple[str, object]:
+    """Read a CLI rule: a bare kind such as size_mod, or kind:param such as
+    const:1 or table:FILE.  kinds maps each kind to its parameter: None for
+    none, int for an integer, str for a file path as written.  Returns (kind,
+    param), param None for a bare kind.  rule names the rule in the errors,
+    unknown (default: rule) in the one for a kind outside kinds."""
+    kind, colon, param = text.partition(":")
+    if kind not in kinds:
+        raise FinkError(f"unknown {unknown or rule} {text!r}")
+    if kinds[kind] is None:
+        if colon:
+            raise FinkError(f"{rule} {kind!r} takes no parameter, got {text!r}")
+        return kind, None
+    if kinds[kind] is str:
+        return kind, param
     try:
-        return int(param)
+        return kind, int(param)
     except ValueError:
         raise FinkError(f"{rule} {kind!r} needs an integer parameter, got {text!r}") from None
 

@@ -25,7 +25,7 @@ from .core import (
     extension_tree,
     format_element,
     format_seq,
-    int_param,
+    parse_rule,
     parse_seq,
     read_lines,
     span_enumerate,
@@ -70,16 +70,12 @@ class FamilySpec:
 def parse_family(text: str, k: int) -> FamilySpec:
     """Parse the CLI syntax: empty, all_singletons, min_even_first,
     support_ge:2, explicit:FILE (one canonical sequence per line)."""
-    kind, colon, param = text.partition(":")
-    if kind in ("empty", "all_singletons", "min_even_first"):
-        if colon:
-            raise FinkError(f"family {kind!r} takes no parameter, got {text!r}")
-        return FamilySpec(kind)
-    if kind == "support_ge":
-        return FamilySpec("support_ge", s=int_param("family", text))
+    kinds = {"empty": None, "all_singletons": None, "min_even_first": None,
+             "support_ge": int, "explicit": str}
+    kind, param = parse_rule("family", text, kinds)
     if kind == "explicit":
         return FamilySpec.explicit(parse_seq(line, k) for line in read_lines(param))
-    raise FinkError(f"unknown family {text!r}")
+    return FamilySpec(kind, s=param or 0)
 
 
 @dataclass(frozen=True)

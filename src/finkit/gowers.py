@@ -25,11 +25,12 @@ from .core import (
     format_element,
     format_seq,
     generators,
-    int_param,
+    parse_rule,
     read_lines,
     sequences_over,
     span_enumerate,
     window_elements,
+    window_generators,
 )
 
 Colorable = Union[FinkElement, BlockSeq]
@@ -113,7 +114,7 @@ class ColoringSpec:
         elif self.arity > w.len_max:
             raise FinkError(f"length {self.arity} exceeds window len_max={w.len_max}")
         else:
-            span = span_enumerate(generators(w.k, w.n_max), w)
+            span = span_enumerate(window_generators(w), w)
             domain = sequences_over(span, BlockSeq(w.k, ()), self.arity)
         for obj in domain:
             key = _key(obj)
@@ -135,15 +136,9 @@ class ColoringSpec:
 
 def parse_coloring(text: str, r: int, arity: int = 1) -> ColoringSpec:
     """Parse the CLI syntax: const:0, min_mod, max_mod, size_mod, value_at:3, table:FILE."""
-    kind, colon, param = text.partition(":")
-    if kind == "const":
-        return ColoringSpec.constant(int_param("coloring", text), r, arity)
-    if kind in ("min_mod", "max_mod", "size_mod"):
-        if colon:
-            raise FinkError(f"coloring {kind!r} takes no parameter, got {text!r}")
-        return ColoringSpec(arity, r, kind)
-    if kind == "value_at":
-        return ColoringSpec(arity, r, "value_at", param=int_param("coloring", text))
+    kinds = {"const": int, "min_mod": None, "max_mod": None, "size_mod": None,
+             "value_at": int, "table": str}
+    kind, param = parse_rule("coloring", text, kinds, unknown="coloring rule")
     if kind == "table":
         table = {}
         for line in read_lines(param):
@@ -153,7 +148,7 @@ def parse_coloring(text: str, r: int, arity: int = 1) -> ColoringSpec:
             except ValueError:
                 raise FinkError(f"coloring table line {line!r} is not KEY<TAB>COLOR") from None
         return ColoringSpec.from_table(table, r, arity)
-    raise FinkError(f"unknown coloring rule {text!r}")
+    return ColoringSpec(arity, r, kind, param=param or 0)
 
 
 @dataclass(frozen=True)

@@ -363,6 +363,35 @@ def test_relation_parser_needs_an_integer_parameter():
         assert err == f"error: relation {kind!r} needs an integer parameter, got {relation!r}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gowers", "--k", "1", "--nmax", "3", "--coloring", "const:0", "--r", "1", "--m", "1"],
+     "need at least 2 colors, got 1"),
+    (["ramsey2", "--k", "1", "--nmax", "3", "--coloring", "size_mod", "--n", "0", "--m", "1"],
+     "coloring arity must be >= 1, got 0"),
+    (["classify", "--k", "2", "--nmax", "4", "--relation", "min_level:3", "--m", "2"],
+     "level 3 outside 1..2"),
+    (["gowers", "--k", "1", "--nmax", "3", "--coloring", "wat", "--m", "1"],
+     "unknown coloring rule 'wat'"),
+    (["classify", "--k", "1", "--nmax", "3", "--relation", "wat", "--m", "1"],
+     "unknown relation 'wat'"),
+    (["galvin", "--k", "1", "--nmax", "3", "--family", "wat", "--m", "1"],
+     "unknown family 'wat'"),
+    (["tetris", "--k", "1", "--j", "-1", "0:1"], "tetris exponent must be >= 0, got -1"),
+    (["span", "--k", "1", "--nmax", "0", "0:1"],
+     "window parameters must be >= 1, got Window(k=1, n_max=0, len_max=0)"),
+    (["theta", "--k", "0", "0:0"], "level bound must be >= 1, got 0"),
+    (["theta", "--k", "2", "0:0,0:1"], "positions must be strictly increasing, bad 0"),
+    (["diagonal", "--k", "1", "--nmax", "3", "--chain", "{comment}"], "empty chain"),
+    (["tetris", "--k", "1", "--", "-3:1"], "negative position -3"),
+], ids=["colors", "arity", "level", "coloring", "relation", "family", "tetris-j", "window",
+        "theta-k", "theta-order", "empty-chain", "negative-position"])
+def test_input_errors_exit_2_with_their_message(tmp_path, argv, message):
+    comment = tmp_path / "comment.txt"
+    comment.write_text("# no sequence here\n")
+    code, out, err = invoke([arg.format(comment=comment) for arg in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def gowers_with_table(tmp_path, text):
     table = tmp_path / "colors.txt"
     table.write_text(text)
@@ -520,6 +549,34 @@ def test_every_command_refuses_a_span_over_the_bound_at_once(tmp_path, argv):
     k, n = argv[argv.index("--k") + 1], argv[argv.index("--nmax") + 1]
     assert (code, out) == (2, "")
     assert err == f"error: the span of {n} blocks at k={k} has more than 1048576 elements\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gowers", "--k", "1", "--nmax", "1000000", "--coloring", "const:0", "--m", "1"],
+    ["ramsey2", "--k", "1", "--nmax", "1000000", "--coloring", "table:{pairs}", "--n", "2", "--m", "3"],
+    ["galvin", "--k", "1", "--nmax", "1000000", "--family", "empty", "--m", "2"],
+    ["classify", "--k", "1", "--nmax", "1000000", "--relation", "size_parity", "--m", "2"],
+], ids=["gowers", "ramsey2-table", "galvin", "classify"])
+def test_a_default_ambient_over_the_bound_is_refused_before_it_is_built(tmp_path, monkeypatch, argv):
+    # the window's generators were built, one validated element per position,
+    # before the span bound could refuse: 3.2 s and 209 MiB at nmax 10^6
+    (tmp_path / "pairs").write_text("0:1;1:1\t0\n")
+    argv = [arg.format(pairs=tmp_path / "pairs") for arg in argv]
+    built = []
+    check = FinkElement.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(FinkElement, "__post_init__", counted)
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - start < 1.0
+    k, n = argv[argv.index("--k") + 1], argv[argv.index("--nmax") + 1]
+    assert (code, out) == (2, "")
+    assert err == f"error: the span of {n} blocks at k={k} has more than 1048576 elements\n"
+    assert built == []
 
 
 def test_span_builds_no_element_per_span_element(monkeypatch):

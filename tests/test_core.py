@@ -32,6 +32,7 @@ from finkit import (
     validate_element,
     window_elements,
 )
+from finkit.core import parse_rule
 from oracles import raw, raw_sequences, raw_span, to_elem, to_seq
 from test_span_engine import block_seqs, window_of
 
@@ -430,3 +431,30 @@ def test_tetris_keeps_peaks(A, data):
         assert y.k == x.k - j and y.peaks() == x.peaks()
         assert y.values == tuple((p, v - j) for p, v in x.values if v > j)
     assert tetris(x, x.k) is None
+
+
+def test_parse_rule_reads_each_form_of_the_grammar():
+    kinds = {"bare": None, "num": int, "file": str}
+    assert parse_rule("rule", "bare", kinds) == ("bare", None)
+    assert parse_rule("rule", "num:-3", kinds) == ("num", -3)
+    assert parse_rule("rule", "file:a:b.txt", kinds) == ("file", "a:b.txt")
+    assert parse_rule("rule", "file", kinds) == ("file", "")
+    for text, message in (
+        ("bare:", "rule 'bare' takes no parameter, got 'bare:'"),
+        ("num", "rule 'num' needs an integer parameter, got 'num'"),
+        ("num:x", "rule 'num' needs an integer parameter, got 'num:x'"),
+        ("wat:1", "unknown rule 'wat:1'"),
+    ):
+        with pytest.raises(FinkError) as exc:
+            parse_rule("rule", text, kinds)
+        assert str(exc.value) == message
+    with pytest.raises(FinkError) as exc:
+        parse_rule("rule", "wat", kinds, unknown="rule kind")
+    assert str(exc.value) == "unknown rule kind 'wat'"
+
+
+def test_a_negative_position_is_named_before_the_order():
+    for raw_pairs in (((-3, 1),), ((-3, 1), (2, 1)), ((-1, 1), (-2, 1))):
+        with pytest.raises(InvalidElement) as exc:
+            FinkElement(1, raw_pairs)
+        assert str(exc.value) == f"negative position {raw_pairs[0][0]}"

@@ -172,6 +172,17 @@ def test_table_totality_stops_at_the_first_missing_sequence(monkeypatch):
         f.check_total(Window(1, 16, 2))
 
 
+def test_table_totality_refuses_a_window_span_over_the_bound_before_building_it(monkeypatch):
+    built = []
+    monkeypatch.setattr(FinkElement, "__post_init__", built.append)
+    f = ColoringSpec.from_table({"0:1;1:1": 0}, 2, arity=2)
+    start = time.perf_counter()
+    with pytest.raises(FinkError, match=r"^the span of 1000000 blocks at k=1 has more than 1048576 elements$"):
+        f.check_total(Window(1, 10**6, 10**6))
+    assert time.perf_counter() - start < 1.0
+    assert built == []
+
+
 def test_parse_coloring_forms(tmp_path):
     assert parse_coloring("const:1", 2).color(parse_seq("0:1", 1).elems[0]) == 1
     assert parse_coloring("value_at:3", 2).kind == "value_at"

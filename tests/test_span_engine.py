@@ -3,6 +3,7 @@ walks, checked against references that list and scan everything."""
 
 import random
 import sys
+import time
 import zlib
 
 import pytest
@@ -146,6 +147,16 @@ def test_a_span_within_the_bound_is_admitted(monkeypatch, build):
     monkeypatch.setattr(core, "_span_walk", lambda images, heads: walked.append(len(images)) or [])
     assert build(generators(2, 12), Window(2, 12, 12)) == []
     assert walked == [12]
+
+
+def test_a_window_span_over_the_bound_is_refused_without_its_size():
+    # 3^(10^7) - 2^(10^7) took 3.4 s to compute; a span of more than 21
+    # blocks has at least 2^22 - 1 elements, so no power is needed
+    start = time.perf_counter()
+    with pytest.raises(FinkError, match=r"^the span of 10000000 blocks at k=2 has more than 1048576 elements$"):
+        core.window_generators(Window(2, 10**7, 1))
+    assert time.perf_counter() - start < 1.0
+    assert core.window_generators(Window(2, 12, 1)) == generators(2, 12)
 
 
 def test_span_state_refuses_an_element_outside_the_ambient_span():
