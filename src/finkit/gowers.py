@@ -24,7 +24,6 @@ from .core import (
     extension_tree,
     format_element,
     format_seq,
-    generators,
     parse_rule,
     read_lines,
     sequences_over,
@@ -159,15 +158,15 @@ class SearchReport:
     nodes_explored: int
 
 
-def _heads(layers, limit: int, length: int):
-    """The block sequences of a given length, as tuples, over the elements in
-    layers[:limit]: per pick, the (element, picks ending before it) pairs it added."""
+def _heads(added, ends, limit: int, length: int):
+    """The block sequences of a given length, as tuples, over added[:limit] (per
+    pick, what it added to the SpanState); the picks' ends bound each term's head."""
     if length == 0:
         yield ()
         return
-    for layer in layers[:limit]:
-        for y, before in layer:
-            for head in _heads(layers, before, length - 1):
+    for layer in added[:limit]:
+        for y in layer:
+            for head in _heads(added, ends, bisect_left(ends, y.min_supp), length - 1):
                 yield head + (y,)
 
 
@@ -243,18 +242,17 @@ def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRep
         # A sequence that uses an element the pick adds ends with it; its other
         # terms lie in the span of the picks that end before that element
         # starts, so it is block ordered by construction.
-        span, layers, ends = state
+        span, ends = state
         span, fresh = span.extend(pick)
-        layer = [(x, bisect_left(ends, x.min_supp)) for x in fresh]
         added = (
             _composed_seq(k, head + (x,))
-            for x, before in layer
-            for head in _heads(layers, before, n - 1)
+            for x in fresh
+            for head in _heads(span.added, ends, bisect_left(ends, x.min_supp), n - 1)
         )
-        return (span, layers + (layer,), ends + (pick.max_supp,)), added
+        return (span, ends + (pick.max_supp,)), added
 
     candidates = span_enumerate(A, w)
-    return _first_monochromatic(f, k, m, candidates, (SpanState.inside(candidates), (), ()), extend)
+    return _first_monochromatic(f, k, m, candidates, (SpanState.inside(candidates), ()), extend)
 
 
 @dataclass(frozen=True)
@@ -273,18 +271,19 @@ def verify_finite_gowers(
 ) -> VerifyReport:
     """Does every r-coloring of the window [0, N) admit a length-m witness?
 
-    The colorings are counted in base r, the first window element the least
-    significant digit.  The first one with no witness is reported as an
-    explicit table, with its place in that order as colorings_checked.
-    Combinations whose coloring count exceeds the budget are refused before
-    anything is enumerated.
+    The colorings are counted in base r over the window's elements, the span
+    of its generators in value-vector order (position 0 most significant),
+    the first element the least significant digit.  The first one with no
+    witness is reported as an explicit table, with its place in that order
+    as colorings_checked (r^size when there is none).  Refused first: a
+    coloring count past the budget, then a span past the span bound.
 
     One depth-first search over partial colorings assigns the digits from the
     most significant element down, trying colors 0..r-1, so it reaches full
     colorings in counter order.  Each candidate witness, the span of one
     length-m B over the generators, is checked when its least significant
     element gets its color; once one is monochromatic, every coloring below
-    that node has a witness, and they are counted without being visited.
+    that node has a witness, and they are passed over without being visited.
     """
     w = Window(k, N, max(m, 1))
     if r < 2:
@@ -299,9 +298,9 @@ def verify_finite_gowers(
         shown = f"({k + 1}^{N} - {k}^{N})" if big else size
         raise BudgetExceeded(f"{r}^{shown} colorings exceed budget {budget}")
     w.require_length(m)
-    elems = list(window_elements(w))
+    span = span_enumerate(window_generators(w), w)
+    elems = sorted(span, key=lambda x: [x.value_at(p) for p in range(N)])
     index = {x.values: i for i, x in enumerate(elems)}
-    span = span_enumerate(generators(k, N), w)
     root = SpanState.inside(span)
     # per element, the witnesses whose least significant element it is, each
     # as the other elements that must share its color
@@ -314,19 +313,17 @@ def verify_finite_gowers(
 
     digits = [0] * size
     i = size - 1  # the element whose digit was just assigned
-    skipped = 0
     while True:
         c = digits[i]
         if any(all(digits[j] == c for j in rest) for rest in attached[i]):
-            skipped += r**i
             while digits[i] == r - 1:
                 i += 1
                 if i == size:
-                    return VerifyReport(True, skipped, None)
+                    return VerifyReport(True, r**size, None)
             digits[i] += 1
         elif i == 0:
             table = {format_element(x): digits[j] for j, x in enumerate(elems)}
-            return VerifyReport(False, skipped + 1, table)
+            return VerifyReport(False, sum(d * r**j for j, d in enumerate(digits)) + 1, table)
         else:
             i -= 1
             digits[i] = 0
