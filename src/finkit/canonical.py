@@ -122,9 +122,18 @@ def sos_check(a: FinkElement, zero_convention: str = "support-boundary") -> SosR
     return SosResult(True, None)
 
 
-# per relation kind, its name; a level kind's name at k >= 2 adds the level
-_RELATION_NAMES = {"equality": "=", "full": "FIN^2", "size_parity": "size_parity", "table": "table",
-                   "min_level": "min", "max_level": "max", "minmax_level": "(min,max)"}
+# per relation kind, its name and its parameter as parse_rule reads it; a
+# level kind's name at k >= 2 adds the level
+_RELATION_KINDS = {"equality": ("=", None), "full": ("FIN^2", None),
+                   "size_parity": ("size_parity", None), "table": ("table", str),
+                   "min_level": ("min", int), "max_level": ("max", int),
+                   "minmax_level": ("(min,max)", int)}
+
+
+def _require_level(level: int, k: int) -> None:
+    """The level check of parse_relation, which the searches repeat on a built spec."""
+    if not 1 <= level <= k:
+        raise FinkError(f"level {level} outside 1..{k}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +153,12 @@ class EquivRelSpec:
     window: Optional[Window] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _RELATION_NAMES:
+        if self.kind not in _RELATION_KINDS:
             raise FinkError(f"unknown relation kind {self.kind!r}")
+        if self.kind.endswith("_level") and self.level < 1:
+            raise FinkError(f"relation kind {self.kind!r} needs a level >= 1, got {self.level}")
+        if self.kind == "table" and self.classes is None:
+            raise FinkError("relation kind 'table' needs its classes")
 
     def key(self, a: FinkElement):
         """The class of a: two elements are related exactly when their keys are equal."""
@@ -170,7 +183,7 @@ class EquivRelSpec:
         return self.key(a) == self.key(b)
 
     def name(self, k: int) -> str:
-        base = _RELATION_NAMES[self.kind]
+        base = _RELATION_KINDS[self.kind][0]
         return f"{base}_{self.level}" if k > 1 and self.kind.endswith("_level") else base
 
     @staticmethod
@@ -202,8 +215,7 @@ class EquivRelSpec:
 def parse_relation(text: str, k: int, window: Optional[Window] = None) -> EquivRelSpec:
     """Parse the CLI syntax: equality, full, min_level:1, max_level:1,
     minmax_level:1, size_parity, table:FILE (elementA<TAB>elementB lines)."""
-    kinds = {"equality": None, "full": None, "size_parity": None,
-             "min_level": int, "max_level": int, "minmax_level": int, "table": str}
+    kinds = {kind: param for kind, (_, param) in _RELATION_KINDS.items()}
     kind, param = parse_rule("relation", text, kinds)
     if kind == "table":
         pairs = []
@@ -215,8 +227,7 @@ def parse_relation(text: str, k: int, window: Optional[Window] = None) -> EquivR
         return EquivRelSpec.from_pairs(pairs, k, window)
     if param is None:
         return EquivRelSpec(kind)
-    if not 1 <= param <= k:
-        raise FinkError(f"level {param} outside 1..{k}")
+    _require_level(param, k)
     return EquivRelSpec(kind, level=param)
 
 
@@ -228,6 +239,9 @@ def _same_partition(r_keys: list, s_keys: list) -> bool:
 
 def restriction_equals(R: EquivRelSpec, S: EquivRelSpec, B: BlockSeq, w: Window) -> bool:
     """Do R and S agree on every pair from the span of B?"""
+    for spec in (R, S):
+        if spec.kind.endswith("_level"):
+            _require_level(spec.level, B.k)
     span = span_enumerate(B, w)
     return _same_partition([R.key(x) for x in span], [S.key(x) for x in span])
 
@@ -276,6 +290,8 @@ def canonicalize_search(
     means the window admits no classification.
     """
     w.require_length(m)
+    if R.kind.endswith("_level"):
+        _require_level(R.level, A.k)
     if R.window is not None and A.max_supp >= R.window.n_max:
         raise FinkError(f"ambient {A} has support past the relation's window n_max={R.window.n_max}")
     k = A.k

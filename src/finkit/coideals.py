@@ -104,6 +104,8 @@ class CoidealPresentation:
     def __post_init__(self) -> None:
         if self.kind not in ("all", "top_of", "mu_over"):
             raise FinkError(f"unknown coideal kind {self.kind!r}")
+        if self.kind == "mu_over" and self.peak_pred is None:
+            raise FinkError("coideal kind 'mu_over' needs a peak predicate")
 
     def contains(self, A: BlockSeq, L: int = 1) -> bool:
         """Does A belong, with a witness of length L for "top_of"?  L must lie

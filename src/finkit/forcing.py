@@ -32,6 +32,11 @@ from .core import (
 )
 
 
+# per family kind, its parameter as parse_rule reads it
+_FAMILY_KINDS = {"empty": None, "all_singletons": None, "min_even_first": None,
+                 "support_ge": int, "explicit": str}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A decidable family of finite block sequences; contains also takes the
@@ -47,7 +52,7 @@ class FamilySpec:
     members: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("empty", "all_singletons", "min_even_first", "support_ge", "explicit"):
+        if self.kind not in _FAMILY_KINDS:
             raise FinkError(f"unknown family kind {self.kind!r}")
 
     def contains(self, b: BlockSeq) -> bool:
@@ -70,9 +75,7 @@ class FamilySpec:
 def parse_family(text: str, k: int) -> FamilySpec:
     """Parse the CLI syntax: empty, all_singletons, min_even_first,
     support_ge:2, explicit:FILE (one canonical sequence per line)."""
-    kinds = {"empty": None, "all_singletons": None, "min_even_first": None,
-             "support_ge": int, "explicit": str}
-    kind, param = parse_rule("family", text, kinds)
+    kind, param = parse_rule("family", text, _FAMILY_KINDS)
     if kind == "explicit":
         return FamilySpec.explicit(parse_seq(line, k) for line in read_lines(param))
     return FamilySpec(kind, s=param or 0)

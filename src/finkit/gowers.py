@@ -48,6 +48,11 @@ def _key(obj: Colorable) -> str:
     return format_element(obj) if isinstance(obj, FinkElement) else format_seq(obj)
 
 
+# per coloring kind the CLI reads, its parameter as parse_rule reads it
+_COLORING_KINDS = {"const": int, "min_mod": None, "max_mod": None, "size_mod": None,
+                   "value_at": int, "table": str}
+
+
 @dataclass(frozen=True)
 class ColoringSpec:
     """A total coloring with r colors of elements (arity 1) or length-n sequences.
@@ -67,9 +72,12 @@ class ColoringSpec:
     func: Optional[Callable[[Colorable], int]] = None
 
     def __post_init__(self) -> None:
-        kinds = ("const", "min_mod", "max_mod", "size_mod", "value_at", "table", "func")
-        if self.kind not in kinds:
+        if self.kind not in _COLORING_KINDS and self.kind != "func":
             raise FinkError(f"unknown coloring kind {self.kind!r}")
+        if self.kind == "table" and self.table is None:
+            raise FinkError("coloring kind 'table' needs a table")
+        if self.kind == "func" and self.func is None:
+            raise FinkError("coloring kind 'func' needs a function")
         if self.arity < 1:
             raise FinkError(f"coloring arity must be >= 1, got {self.arity}")
         if self.r < 2:
@@ -135,9 +143,7 @@ class ColoringSpec:
 
 def parse_coloring(text: str, r: int, arity: int = 1) -> ColoringSpec:
     """Parse the CLI syntax: const:0, min_mod, max_mod, size_mod, value_at:3, table:FILE."""
-    kinds = {"const": int, "min_mod": None, "max_mod": None, "size_mod": None,
-             "value_at": int, "table": str}
-    kind, param = parse_rule("coloring", text, kinds, unknown="coloring rule")
+    kind, param = parse_rule("coloring", text, _COLORING_KINDS, unknown="coloring rule")
     if kind == "table":
         table = {}
         for line in read_lines(param):

@@ -116,8 +116,36 @@ def test_sos_unknown_convention():
 def test_unknown_relation_kind_is_refused_when_built():
     with pytest.raises(FinkError, match="^unknown relation kind 'bogus'$"):
         EquivRelSpec("bogus")
-    names = [EquivRelSpec(kind, level=2).name(2) for kind in ("equality", "min_level", "table")]
+    # a table relation needs its classes when built; an empty table is equality
+    names = [
+        EquivRelSpec(kind, level=2, classes={} if kind == "table" else None).name(2)
+        for kind in ("equality", "min_level", "table")
+    ]
     assert names == ["=", "min_2", "table"]
+
+
+def test_a_level_or_table_relation_needs_its_parameter_when_built():
+    # the default level 0 made every key None, so min_level acted as FIN^2
+    for kind in ("min_level", "max_level", "minmax_level"):
+        with pytest.raises(FinkError, match=f"^relation kind '{kind}' needs a level >= 1, got 0$"):
+            EquivRelSpec(kind)
+    # a table relation with no classes raised AttributeError on its first key
+    with pytest.raises(FinkError, match="^relation kind 'table' needs its classes$"):
+        EquivRelSpec("table")
+
+
+def test_a_level_past_the_sequence_is_refused_before_any_span(monkeypatch):
+    # level 3 at k = 1 used to classify as FIN^2, as level 0 did
+    def no_span(*args):
+        raise AssertionError("span built")
+
+    monkeypatch.setattr(canonical, "span_enumerate", no_span)
+    R = EquivRelSpec("min_level", level=3)
+    with pytest.raises(FinkError, match=r"^level 3 outside 1\.\.1$"):
+        canonicalize_search(R, generators(1, 4), 2, Window(1, 4, 4))
+    for pair in ((R, EquivRelSpec("full")), (EquivRelSpec("full"), R)):
+        with pytest.raises(FinkError, match=r"^level 3 outside 1\.\.1$"):
+            restriction_equals(*pair, generators(1, 4), Window(1, 4, 4))
 
 
 # -- equivalence relations ----------------------------------------------------------

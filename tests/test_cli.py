@@ -720,6 +720,28 @@ def test_python_dash_m_finkit():
     assert (proc.returncode, proc.stdout) == (0, "619\nk = 3\n")
 
 
+def test_importing_the_cli_loads_finkit_and_the_standard_library_only():
+    # sys.modules is compared before and after, since site may import
+    # third-party modules (a .pth file) before any finkit code runs
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import finkit.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    ours = [name for name in loaded if name.partition(".")[0] == "finkit"]
+    assert ours == ["finkit", *(f"finkit.{name}" for name in (
+        "canonical", "cli", "coideals", "core", "forcing", "gowers", "net"))]
+    others = {name.partition(".")[0] for name in loaded} - {"finkit"}
+    assert others <= sys.stdlib_module_names, sorted(others - sys.stdlib_module_names)
+
+
 def _closed_pipe_run(mode, unbuffered, read_first_line):
     """Run a large span query as a process whose stdout reader leaves early:
     after one line, or before anything is written."""

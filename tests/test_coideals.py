@@ -227,6 +227,12 @@ def test_unknown_kind():
         CoidealPresentation("wat", w)
 
 
+def test_a_peak_coideal_needs_its_predicate_when_built():
+    # it used to raise TypeError on the first membership test
+    with pytest.raises(FinkError, match="^coideal kind 'mu_over' needs a peak predicate$"):
+        CoidealPresentation("mu_over", Window(1, 4, 4))
+
+
 # -- partition refinement --------------------------------------------------------------
 
 

@@ -5,6 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from finkit import (
     BlockSeq,
+    ColoringSpec,
+    Decomposition,
+    FamilySpec,
     FinkElement,
     FinkError,
     InvalidElement,
@@ -15,9 +18,12 @@ from finkit import (
     decompose,
     element_from_json,
     element_to_json,
+    first_common_condensation,
     format_element,
     format_seq,
+    galvin_dichotomy,
     generators,
+    gowers_search,
     initial_segments,
     leq,
     neighborhood,
@@ -32,7 +38,7 @@ from finkit import (
     validate_element,
     window_elements,
 )
-from finkit.core import parse_rule
+from finkit.core import parse_rule, window_generators
 from oracles import raw, raw_sequences, raw_span, to_elem, to_seq
 from test_span_engine import block_seqs, window_of
 
@@ -343,6 +349,13 @@ def test_window_elements_count():
         elems = list(window_elements(w))
         assert len(elems) == (k + 1) ** n - k**n
         assert len({x.values for x in elems}) == len(elems)
+    # the window is the span of its generators, whose value-vector order
+    # gowers-verify's digits follow
+    for k, n, size in ((1, 4, 15), (2, 3, 19), (3, 3, 37), (1, 6, 63), (2, 5, 211), (3, 4, 175)):
+        w = Window(k, n, n)
+        span = span_enumerate(window_generators(w), w)
+        by_vector = sorted(span, key=lambda x: [x.value_at(p) for p in range(n)])
+        assert by_vector == list(window_elements(w)) and len(span) == size
 
 
 def test_sequence_enumeration_matches_raw_oracle():
@@ -458,3 +471,46 @@ def test_a_negative_position_is_named_before_the_order():
         with pytest.raises(InvalidElement) as exc:
             FinkElement(1, raw_pairs)
         assert str(exc.value) == f"negative position {raw_pairs[0][0]}"
+
+
+# Library refusals that no CLI command reaches, each with its exception type
+# and exact message.
+W14 = Window(1, 4, 4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FinkElement(0, ((0, 1),)), InvalidElement, "level bound must be >= 1, got 0"),
+    (lambda: FinkElement(1, ((2, 1), (1, 1))), InvalidElement,
+     "positions not strictly increasing at 1"),
+    (lambda: BlockSeq(0, ()), InvalidSequence, "level bound must be >= 1, got 0"),
+    (lambda: Decomposition(((1, 0), (1, 0))), FinkError,
+     "generator indices must be strictly increasing"),
+    (lambda: Decomposition(((0, -1),)), FinkError, "tetris exponents must be nonnegative"),
+    (lambda: Decomposition(((0, 1),)), FinkError, "some tetris exponent must be 0"),
+    (lambda: decompose(elem("0:1,1:2", 2), generators(1, 3)), FinkError,
+     "level mismatch: element k=2, sequence k=1"),
+    (lambda: leq(generators(2, 2), generators(1, 2)), FinkError, "level mismatch: 2 vs 1"),
+    (lambda: neighborhood(generators(2, 1), generators(1, 2), 2, W14), FinkError,
+     "level mismatch: 2 vs 1"),
+    (lambda: first_common_condensation((generators(2, 2),), generators(1, 2), 1, W14), FinkError,
+     "level mismatch: 2 vs 1"),
+    (lambda: galvin_dichotomy(generators(1, 3), generators(2, 1), FamilySpec("empty"), 1, W14),
+     FinkError, "level mismatch: stem k=2, sequence k=1"),
+    (lambda: neighborhood(generators(1, 2), generators(1, 4), 1, W14), FinkError,
+     "target length 1 below stem length 2"),
+    (lambda: neighborhood(BlockSeq(1, ()), generators(1, 4), 5, W14), FinkError,
+     "length 5 exceeds window len_max=4"),
+    (lambda: ColoringSpec.from_table({"1:1": 0}, 2).color(elem("0:1", 1)), FinkError,
+     "coloring table has no entry for '0:1'"),
+    (lambda: gowers_search(ColoringSpec(2, 2, "size_mod"), generators(1, 4), 2, W14), FinkError,
+     "gowers_search needs an arity-1 coloring, got 2"),
+], ids=[
+    "element-level", "element-order", "sequence-level", "decomposition-indices",
+    "decomposition-exponents", "decomposition-zero", "decompose-level", "leq-level",
+    "neighborhood-level", "first-common-condensation-level", "galvin-level",
+    "neighborhood-stem", "neighborhood-window", "table-entry", "gowers-arity",
+])
+def test_library_refusals_name_their_cause(call, error, message):
+    with pytest.raises(FinkError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)

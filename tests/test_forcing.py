@@ -10,6 +10,7 @@ from finkit import (
     FinkError,
     ForcingVerdict,
     IncompatibleStem,
+    OpenSetResult,
     RejectsResult,
     Window,
     accepts,
@@ -383,6 +384,8 @@ def test_open_set_examples():
     res = open_set_ramsey(F_EVEN, A, 3, w)
     assert res.side == "inside"
     assert format_seq(res.witness) == "0:1;2:1;4:1"
+    # no length-3 B over the 8 generators settles support_ge:3 either way
+    assert open_set_ramsey(FamilySpec("support_ge", s=3), A, 3, w) == OpenSetResult(None, None)
 
 
 def test_threads_agree():

@@ -145,6 +145,14 @@ def test_unknown_coloring_kind_is_refused_when_built():
         ColoringSpec(1, 2, "bogus")
 
 
+def test_a_table_or_function_coloring_needs_its_rule_when_built():
+    # either used to raise TypeError only inside gowers_search
+    with pytest.raises(FinkError, match="^coloring kind 'table' needs a table$"):
+        ColoringSpec(1, 2, "table")
+    with pytest.raises(FinkError, match="^coloring kind 'func' needs a function$"):
+        ColoringSpec(1, 2, "func")
+
+
 def test_table_colors_are_checked_when_the_table_is_built():
     # every entry, also one that no window element or sequence reads
     for table, arity in (({"0:1": 0, "9:1": 2}, 1), ({"0:1": -1}, 1), ({"0:1;1:1": 2}, 2)):
@@ -261,6 +269,18 @@ def test_verify_edge_cases():
     # no B of length m > N fits, so the all-zero coloring already fails
     table = [("1:1", 0), ("0:1", 0), ("0:1,1:1", 0)]
     assert verify_outcome(verify_finite_gowers(1, 3, 2, 2)) == (False, 1, table)
+
+
+def test_verify_refuses_a_window_span_over_the_bound_before_building_it(monkeypatch):
+    # the budget admits 2^(2^21 - 1) colorings; the window used to be listed,
+    # 2^21 - 1 validated elements, before the span bound could refuse it
+    built = []
+    monkeypatch.setattr(FinkElement, "__post_init__", built.append)
+    start = time.perf_counter()
+    with pytest.raises(FinkError, match=r"^the span of 21 blocks at k=1 has more than 1048576 elements$"):
+        verify_finite_gowers(1, 2, 2, 21, budget=1 << (1 << 22))
+    assert time.perf_counter() - start < 1.0
+    assert built == []
 
 
 def test_verify_decides_a_window_the_flat_scan_cannot_reach():
