@@ -46,8 +46,6 @@ from .core import (
     WindowExhausted,
     block_sum,
     decompose,
-    element_from_json,
-    element_to_json,
     format_element,
     format_seq,
     generators,
@@ -57,8 +55,6 @@ from .core import (
     parse_element,
     parse_seq,
     recompose,
-    seq_from_json,
-    seq_to_json,
     sequences_over,
     span_enumerate,
     tetris,

@@ -12,9 +12,6 @@ Canonical text grammar::
 
     element   0:2,3:1          sorted "pos:val" pairs, no whitespace
     sequence  0:2,3:1;5:2      elements joined by ';', empty string = empty
-
-The JSON mirror uses ``[[pos, val], ...]`` for an element and a list of
-elements for a sequence.
 """
 
 from __future__ import annotations
@@ -338,8 +335,11 @@ def _admit_span_size(k: int, n: int) -> None:
 
 
 def _admit_span(A: BlockSeq, w: Window) -> None:
-    """The one check before a span is built: its size, then that A's supports
-    fit the window (len_max caps constructed sequences, not A)."""
+    """The one check before a span is built: A's level is the window's, then
+    the span's size, then that A's supports fit the window (len_max caps
+    constructed sequences, not A)."""
+    if A.k != w.k:
+        raise FinkError(f"sequence level {A.k} differs from window level {w.k}")
     _admit_span_size(A.k, len(A))
     if A.max_supp >= w.n_max:  # the blocks are separated, so the last ends last
         raise FinkError(f"block sequence {A} has support past window n_max={w.n_max}")
@@ -637,18 +637,3 @@ def read_lines(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return [line for line in map(str.strip, fh) if line and not line.startswith("#")]
 
-
-def element_to_json(x: FinkElement) -> list[list[int]]:
-    return [[pos, val] for pos, val in x.values]
-
-
-def element_from_json(data, k: int) -> FinkElement:
-    return validate_element([(p, v) for p, v in data], k)
-
-
-def seq_to_json(a: BlockSeq) -> list[list[list[int]]]:
-    return [element_to_json(x) for x in a.elems]
-
-
-def seq_from_json(data, k: int) -> BlockSeq:
-    return BlockSeq(k, tuple(element_from_json(e, k) for e in data))

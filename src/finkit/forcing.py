@@ -48,12 +48,14 @@ class FamilySpec:
     """
 
     kind: str
-    s: int = 0
+    s: Optional[int] = None
     members: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if self.kind not in _FAMILY_KINDS:
             raise FinkError(f"unknown family kind {self.kind!r}")
+        if _FAMILY_KINDS[self.kind] is int and self.s is None:
+            raise FinkError(f"family kind {self.kind!r} needs an integer parameter")
 
     def contains(self, b: BlockSeq) -> bool:
         elems = getattr(b, "elems", b)
@@ -78,7 +80,7 @@ def parse_family(text: str, k: int) -> FamilySpec:
     kind, param = parse_rule("family", text, _FAMILY_KINDS)
     if kind == "explicit":
         return FamilySpec.explicit(parse_seq(line, k) for line in read_lines(param))
-    return FamilySpec(kind, s=param or 0)
+    return FamilySpec(kind, s=param)
 
 
 @dataclass(frozen=True)
@@ -148,24 +150,19 @@ def _first_settled(span: list, a: BlockSeq, lengths, settle: Callable):
     """(B, verdict) for the first condensation B of A, of each length in
     turn, on which settle returns a true verdict; None if there is none.
 
-    B runs over picks from span, A's span, in the order of sequences_over,
-    and its span is grown inside A's, never built.  settle gets it sorted by
-    where each element starts, grouped by first block as extension_tree
-    needs: which nodes B's tree has, and so a verdict read off them, does
-    not depend on the order of the walk."""
+    B runs over picks from span, A's span, in the order of sequences_over.
+    The walk's state is B's span, grown inside A's at every depth and never
+    built; settle runs on each B of the length as the walk yields it.  It
+    gets B's span sorted by where each element starts, grouped by first
+    block as extension_tree needs: which nodes B's tree has, and so a
+    verdict read off them, does not depend on the order of the walk."""
+    root, grow = SpanState.inside(span), lambda state, pick: state.extend(pick)[0]
     for m in lengths:
-
-        def step(state, pick):
-            # below length m the state is B's span so far; at length m it is
-            # B's verdict, or None to go on
-            state, _ = state.extend(pick)
-            if len(state.added) < m:
-                return state
-            return settle(sorted(state.span(), key=lambda x: x.values[0][0])) or None
-
-        for B, verdict in extension_tree(span, BlockSeq(a.k, ()), m, step, SpanState.inside(span)):
+        for B, state in extension_tree(span, BlockSeq(a.k, ()), m, grow, root):
             if len(B) == m:
-                return BlockSeq(a.k, B), verdict
+                verdict = settle(sorted(state.span(), key=lambda x: x.values[0][0]))
+                if verdict:
+                    return BlockSeq(a.k, B), verdict
     return None
 
 

@@ -23,7 +23,6 @@ from .core import (
     _composed_seq,
     extension_tree,
     format_element,
-    format_seq,
     parse_rule,
     read_lines,
     sequences_over,
@@ -42,10 +41,6 @@ def _value_at(obj: Colorable, pos: int) -> int:
         if x.min_supp <= pos <= x.max_supp:
             return x.value_at(pos)
     return 0
-
-
-def _key(obj: Colorable) -> str:
-    return format_element(obj) if isinstance(obj, FinkElement) else format_seq(obj)
 
 
 # per coloring kind the CLI reads, its parameter as parse_rule reads it
@@ -67,13 +62,15 @@ class ColoringSpec:
     arity: int
     r: int
     kind: str  # const | min_mod | max_mod | size_mod | value_at | table | func
-    param: int = 0
+    param: Optional[int] = None
     table: Optional[dict[str, int]] = None
     func: Optional[Callable[[Colorable], int]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _COLORING_KINDS and self.kind != "func":
             raise FinkError(f"unknown coloring kind {self.kind!r}")
+        if _COLORING_KINDS.get(self.kind) is int and self.param is None:
+            raise FinkError(f"coloring kind {self.kind!r} needs an integer parameter")
         if self.kind == "table" and self.table is None:
             raise FinkError("coloring kind 'table' needs a table")
         if self.kind == "func" and self.func is None:
@@ -105,7 +102,7 @@ class ColoringSpec:
         if self.kind == "value_at":
             return _value_at(obj, self.param) % self.r
         if self.kind == "table":
-            key = _key(obj)
+            key = str(obj)
             if key not in self.table:
                 raise FinkError(f"coloring table has no entry for {key!r}")
             return self.table[key]
@@ -124,7 +121,7 @@ class ColoringSpec:
             span = span_enumerate(window_generators(w), w)
             domain = sequences_over(span, BlockSeq(w.k, ()), self.arity)
         for obj in domain:
-            key = _key(obj)
+            key = str(obj)
             if key not in self.table:
                 raise FinkError(f"coloring not total on window: missing {key!r}")
 
@@ -153,7 +150,7 @@ def parse_coloring(text: str, r: int, arity: int = 1) -> ColoringSpec:
             except ValueError:
                 raise FinkError(f"coloring table line {line!r} is not KEY<TAB>COLOR") from None
         return ColoringSpec.from_table(table, r, arity)
-    return ColoringSpec(arity, r, kind, param=param or 0)
+    return ColoringSpec(arity, r, kind, param=param)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ from finkit import (
     Window,
     block_sum,
     decompose,
-    element_from_json,
-    element_to_json,
     first_common_condensation,
     format_element,
     format_seq,
@@ -30,8 +28,6 @@ from finkit import (
     parse_element,
     parse_seq,
     recompose,
-    seq_from_json,
-    seq_to_json,
     sequences_over,
     span_enumerate,
     tetris,
@@ -333,14 +329,6 @@ def test_parse_errors():
         parse_element("0:1", 2)  # never attains 2
     with pytest.raises(ParseError):
         parse_seq("1:1;0:1", 1)  # out of block order
-
-
-def test_json_mirror():
-    e = parse_element("0:2,3:1", 2)
-    assert element_to_json(e) == [[0, 2], [3, 1]]
-    assert element_from_json([[0, 2], [3, 1]], 2) == e
-    s = parse_seq("0:2;2:1,3:2", 2)
-    assert seq_from_json(seq_to_json(s), 2) == s
 
 
 def test_window_elements_count():

@@ -101,6 +101,12 @@ def test_unknown_family_kind_is_refused_when_built():
         FamilySpec("bogus")
 
 
+def test_a_parameterised_family_kind_needs_its_parameter_when_built():
+    # a bare support_ge used to contain every nonempty sequence
+    with pytest.raises(FinkError, match="^family kind 'support_ge' needs an integer parameter$"):
+        FamilySpec("support_ge")
+
+
 # -- accepts / rejects / decides ---------------------------------------------------
 
 

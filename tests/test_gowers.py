@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from finkit import (
     BlockSeq,
@@ -151,6 +151,13 @@ def test_a_table_or_function_coloring_needs_its_rule_when_built():
         ColoringSpec(1, 2, "table")
     with pytest.raises(FinkError, match="^coloring kind 'func' needs a function$"):
         ColoringSpec(1, 2, "func")
+
+
+@pytest.mark.parametrize("kind", ["const", "value_at"])
+def test_a_parameterised_coloring_kind_needs_its_parameter_when_built(kind):
+    # a bare kind used to act as kind:0, where the CLI refuses it
+    with pytest.raises(FinkError, match=f"^coloring kind '{kind}' needs an integer parameter$"):
+        ColoringSpec(1, 2, kind)
 
 
 def test_table_colors_are_checked_when_the_table_is_built():
@@ -439,6 +446,34 @@ def test_ramsey2_threads_agree():
     rep = ramsey2_search(f, A, 2, w)
     witness, color = flat_first_hit(
         A, 2, w, lambda B: {f.color(to_seq(p, 1)) for p in raw_sequences(raw_span(B), 2)}
+    )
+    assert (rep.found, rep.witness, rep.color) == (witness is not None, witness, color)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    block_seqs(max_k=2, max_blocks=4),
+    st.sampled_from((2, 3)),
+    st.booleans(),
+    st.sampled_from(("size_mod", "max_mod", "min_mod", "value_at")),
+    st.sampled_from((2, 3)),
+    st.integers(0, 14),
+)
+# a head drawn from the latest pick alone, not from every earlier one, gives
+# another first hit on these two
+@example(generators(1, 3), 2, True, "value_at", 2, 1)
+@example(generators(1, 4), 3, True, "value_at", 2, 2)
+def test_ramsey2_equals_the_flat_first_hit(A, n, longer, kind, r, p):
+    # the pruned walk, with _heads drawing each pick's length-n sequences,
+    # returns the first hit of a flat scan over every length-n sequence
+    m = n + longer
+    assume(m <= len(A))
+    w = window_of(A)
+    p %= w.n_max  # a position of the window, which value_at may tell apart
+    f = parse_coloring(f"value_at:{p}" if kind == "value_at" else kind, r, arity=n)
+    rep = ramsey2_search(f, A, m, w)
+    witness, color = flat_first_hit(
+        A, m, w, lambda B: {f.color(to_seq(s, A.k)) for s in raw_sequences(raw_span(B), n)}
     )
     assert (rep.found, rep.witness, rep.color) == (witness is not None, witness, color)
 

@@ -159,6 +159,21 @@ def test_a_window_span_over_the_bound_is_refused_without_its_size():
     assert core.window_generators(Window(2, 12, 1)) == generators(2, 12)
 
 
+def test_a_sequence_of_another_level_is_refused_before_its_span():
+    # span_enumerate used to list 19 level-2 elements for a level-1 window,
+    # and gowers_search to pass a table's totality check on the window, then
+    # fail mid-search on a level-2 element the table has no entry for
+    w = Window(1, 3, 3)
+    message = "^sequence level 2 differs from window level 1$"
+    for build in (span_enumerate, span_texts):
+        with pytest.raises(FinkError, match=message):
+            build(generators(2, 3), w)
+    f = ColoringSpec.from_table({str(x): 0 for x in window_elements(w)}, 2)
+    f.check_total(w)
+    with pytest.raises(FinkError, match=message):
+        gowers_search(f, generators(2, 3), 2, w)
+
+
 def test_span_state_refuses_an_element_outside_the_ambient_span():
     A = parse_seq("0:2,1:1;2:2", 2)
     state = SpanState.inside(span_enumerate(A, window_of(A)))
