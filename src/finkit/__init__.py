@@ -24,13 +24,11 @@ from .coideals import (
     DiagonalizationReport,
     RefineResult,
     common_condensation,
-    dense_open_violation,
     diagonal_build,
     diagonalizes_check,
     first_common_condensation,
     mu,
     partition_refine,
-    span_peaks,
 )
 from .core import (
     BlockSeq,

@@ -17,9 +17,8 @@ from .core import (
     BlockSeq,
     FinkElement,
     FinkError,
-    SpanState,
     Window,
-    extension_tree,
+    condensations,
     format_element,
     parse_element,
     parse_rule,
@@ -309,18 +308,17 @@ def canonicalize_search(
             t = keys[id(x)] = (R.key(x), *(spec.key(x) for _, spec in cands))
         return t
 
-    def step(state, pick):
-        inner, alive = state
-        inner, _ = inner.extend(pick)
-        columns = list(zip(*map(keys_of, inner.span())))  # per relation, its keys
+    def step(node, pick):
+        grown, alive = node
+        grown, _ = grown.extend(pick)
+        columns = list(zip(*map(keys_of, grown.span())))  # per relation, its keys
         alive = [j for j in alive if _same_partition(columns[0], columns[j])]
-        return (inner, alive) if alive else None
+        return (grown, alive) if alive else None
 
-    root = (SpanState.inside(span), list(range(1, len(cands) + 1)))
-    for B, (_, alive) in extension_tree(picks, BlockSeq(k, ()), m, step, root):
-        if len(B) == m:
-            name, spec = cands[alive[0] - 1]
-            return CanonicalizationResult(name, spec, BlockSeq(k, B), caveat)
+    root = list(range(1, len(cands) + 1))
+    for B, _, alive in condensations(span, k, (m,), step, root, picks):
+        name, spec = cands[alive[0] - 1]
+        return CanonicalizationResult(name, spec, BlockSeq(k, B), caveat)
     return None
 
 

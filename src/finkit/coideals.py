@@ -21,7 +21,6 @@ from .core import (
     Window,
     WindowExhausted,
     decompose,
-    initial_segments,
     leq,
     span_enumerate,
 )
@@ -30,15 +29,6 @@ from .core import (
 def mu(A: BlockSeq) -> set[int]:
     """Positions where some term of A attains k (terms only, not span sums)."""
     return {pos for x in A for pos in x.peaks()}
-
-
-def span_peaks(A: BlockSeq, w: Window) -> set[int]:
-    """Positions where some span element attains k.
-
-    Separate derived query: tetris images never create new peaks, so this
-    agrees with mu on valid sequences, but the two readings are kept apart.
-    """
-    return {pos for x in span_enumerate(A, w) for pos in x.peaks()}
 
 
 def common_condensation(
@@ -215,30 +205,3 @@ def diagonal_build(chain: list[BlockSeq], w: Window) -> BlockSeq:
         picks.append(pick)
         end = pick.max_supp
     return BlockSeq(k, tuple(picks))
-
-
-def dense_open_violation(
-    pred: Callable[[BlockSeq], bool], ambient: BlockSeq, w: Window
-) -> Optional[str]:
-    """Validator for dense-open predicates on windowed sequences.
-
-    Returns None when, over sequences drawn from the ambient span, the
-    predicate is closed downward under condensation and some member sits
-    below every nonempty sequence; otherwise a description of the first
-    violation.  A window-level check only: the genuine notion quantifies
-    over infinite sequences.
-    """
-    seqs = [s for L in range(1, w.len_max + 1) for s in initial_segments(ambient, L, w)]
-    for s in seqs:
-        if not pred(s):
-            continue
-        for L in range(1, len(s) + 1):
-            for below in initial_segments(s, L, w):
-                if not pred(below):
-                    return f"not downward closed: {below} below member {s}"
-    for s in seqs:
-        if not any(
-            pred(b) for L in range(1, w.len_max + 1) for b in initial_segments(s, L, w)
-        ):
-            return f"not dense: nothing below {s}"
-    return None

@@ -535,6 +535,24 @@ def sequences_over(candidates: list[FinkElement], stem: BlockSeq, n: int):
             yield BlockSeq(stem.k, node)
 
 
+def condensations(span: list, k: int, lengths, step=None, root=None, picks=None):
+    """The condensation walk below A, where span = span_enumerate(A, w): for
+    each m in lengths in turn, yields (B's terms, B's SpanState, state) per
+    length-m B over picks (a sublist of span in span order; default span),
+    in the order of sequences_over.  B's span grows inside A's, never built.
+    A node carries (B's SpanState, state), the empty B's (a SpanState of no
+    blocks, root); step(node, pick) returns the child's, or None to prune
+    it.  The step grows the SpanState itself, so it may veto a pick first;
+    the default grows it and keeps the state.  The walk is lazy."""
+    top = (SpanState.inside(span), root)
+    step = step or (lambda node, pick: (node[0].extend(pick)[0], node[1]))
+    for m in lengths:
+        walk = extension_tree(span if picks is None else picks, BlockSeq(k, ()), m, step, top)
+        for B, (grown, state) in walk:
+            if len(B) == m:
+                yield B, grown, state
+
+
 def initial_segments(A: BlockSeq, n: int, w: Window) -> list[BlockSeq]:
     """All length-n block sequences whose elements lie in [A].
 

@@ -19,8 +19,8 @@ from .core import (
     BlockSeq,
     FinkError,
     IncompatibleStem,
-    SpanState,
     Window,
+    condensations,
     decompose,
     extension_tree,
     format_element,
@@ -150,19 +150,15 @@ def _first_settled(span: list, a: BlockSeq, lengths, settle: Callable):
     """(B, verdict) for the first condensation B of A, of each length in
     turn, on which settle returns a true verdict; None if there is none.
 
-    B runs over picks from span, A's span, in the order of sequences_over.
-    The walk's state is B's span, grown inside A's at every depth and never
-    built; settle runs on each B of the length as the walk yields it.  It
-    gets B's span sorted by where each element starts, grouped by first
-    block as extension_tree needs: which nodes B's tree has, and so a
-    verdict read off them, does not depend on the order of the walk."""
-    root, grow = SpanState.inside(span), lambda state, pick: state.extend(pick)[0]
-    for m in lengths:
-        for B, state in extension_tree(span, BlockSeq(a.k, ()), m, grow, root):
-            if len(B) == m:
-                verdict = settle(sorted(state.span(), key=lambda x: x.values[0][0]))
-                if verdict:
-                    return BlockSeq(a.k, B), verdict
+    B runs over the condensation walk below A, whose span is span, and
+    settle runs on each B as the walk yields it, B's span grown inside A's
+    and never built.  It gets B's span sorted by where each element starts,
+    grouped by first block as _walk needs: which nodes B's tree has, and so
+    a verdict read off them, does not depend on the order of the walk."""
+    for B, grown, _ in condensations(span, a.k, lengths):
+        verdict = settle(sorted(grown.span(), key=lambda x: x.values[0][0]))
+        if verdict:
+            return BlockSeq(a.k, B), verdict
     return None
 
 

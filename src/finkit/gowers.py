@@ -9,7 +9,6 @@ miss only means the window was too small, never a refutation.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -18,10 +17,9 @@ from .core import (
     BudgetExceeded,
     FinkElement,
     FinkError,
-    SpanState,
     Window,
     _composed_seq,
-    extension_tree,
+    condensations,
     format_element,
     parse_rule,
     read_lines,
@@ -161,53 +159,51 @@ class SearchReport:
     nodes_explored: int
 
 
-def _heads(added, ends, limit: int, length: int):
-    """The block sequences of a given length, as tuples, over added[:limit] (per
-    pick, what it added to the SpanState); the picks' ends bound each term's head."""
+def _heads(added, start: int, length: int):
+    """The block sequences of a given length, as tuples, over the span of the
+    picks that end before start; added holds per pick the elements it added, pick first."""
     if length == 0:
         yield ()
         return
-    for layer in added[:limit]:
+    for layer in added:
+        if layer[0].max_supp >= start:
+            break  # the picks are block ordered, so each later one ends later
         for y in layer:
-            for head in _heads(added, ends, bisect_left(ends, y.min_supp), length - 1):
+            for head in _heads(added, y.min_supp, length - 1):
                 yield head + (y,)
 
 
-def _first_monochromatic(
-    f: ColoringSpec, k: int, m: int, candidates: list, root, extend, leads: bool = False
-):
+def _first_monochromatic(f: ColoringSpec, k: int, m: int, span, added, leads: bool = False):
     """The search of gowers_search and ramsey2_search: the condensation walk
-    over span-ordered candidates, pruning a partial B as soon as the objects
-    its picks added carry two colors.  extend(state, pick) returns the state
-    with pick appended and the objects to color that the pick adds.  With
-    leads, the first of those objects is the pick itself: it is colored
-    before extend runs, so a pick that clashes on its own color costs no
-    extend, and the colors are asked for in the same order.  The picks
-    tried, one step each, are the report's nodes_explored."""
+    below A, whose span is span, pruning a partial B as soon as the objects
+    its picks added carry two colors.  added(grown, fresh) lists the objects
+    to color that a pick adds, given B's span state grown by the pick and
+    the elements it added.  With leads, the first of those is the pick
+    itself: it is colored before the span grows, so a pick that clashes on
+    its own color costs no extend, and the colors are asked for in the same
+    order.  The picks tried, one step each, are the report's nodes_explored."""
     nodes = 0
 
-    def step(state, pick):
+    def step(node, pick):
         nonlocal nodes
         nodes += 1
-        inner, color = state
+        grown, color = node
         if leads:
             c = f.color(pick)
             if color is not None and c != color:
                 return None
             color = c
-        inner, added = extend(inner, pick)
-        for obj in itertools.islice(added, leads, None):
+        grown, fresh = grown.extend(pick)
+        for obj in itertools.islice(added(grown, fresh), leads, None):
             c = f.color(obj)
             if color is None:
                 color = c
             elif c != color:
                 return None
-        return inner, color
+        return grown, color
 
-    walk = extension_tree(candidates, BlockSeq(k, ()), m, step, (root, None))
-    for picks, (_, color) in walk:
-        if len(picks) == m:
-            return SearchReport(True, BlockSeq(k, picks), color, nodes)
+    for B, _, color in condensations(span, k, (m,), step):
+        return SearchReport(True, BlockSeq(k, B), color, nodes)
     return SearchReport(False, None, None, nodes)
 
 
@@ -224,10 +220,9 @@ def gowers_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRepo
         raise FinkError(f"gowers_search needs an arity-1 coloring, got {f.arity}")
     w.require_length(m)
     f.check_total(w)
-    candidates = span_enumerate(A, w)
     # a pick's first added element is the pick: the empty sum joined with T^0
     return _first_monochromatic(
-        f, A.k, m, candidates, SpanState.inside(candidates), SpanState.extend, leads=True
+        f, A.k, m, span_enumerate(A, w), lambda grown, fresh: fresh, leads=True
     )
 
 
@@ -241,21 +236,17 @@ def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRep
     f.check_total(w)
     k = A.k
 
-    def extend(state, pick):
+    def added(grown, fresh):
         # A sequence that uses an element the pick adds ends with it; its other
         # terms lie in the span of the picks that end before that element
         # starts, so it is block ordered by construction.
-        span, ends = state
-        span, fresh = span.extend(pick)
-        added = (
+        return (
             _composed_seq(k, head + (x,))
             for x in fresh
-            for head in _heads(span.added, ends, bisect_left(ends, x.min_supp), n - 1)
+            for head in _heads(grown.added, x.min_supp, n - 1)
         )
-        return (span, ends + (pick.max_supp,)), added
 
-    candidates = span_enumerate(A, w)
-    return _first_monochromatic(f, k, m, candidates, (SpanState.inside(candidates), ()), extend)
+    return _first_monochromatic(f, k, m, span_enumerate(A, w), added)
 
 
 @dataclass(frozen=True)
@@ -304,15 +295,12 @@ def verify_finite_gowers(
     span = span_enumerate(window_generators(w), w)
     elems = sorted(span, key=lambda x: [x.value_at(p) for p in range(N)])
     index = {x.values: i for i, x in enumerate(elems)}
-    root = SpanState.inside(span)
     # per element, the witnesses whose least significant element it is, each
     # as the other elements that must share its color
     attached: list[list[tuple[int, ...]]] = [[] for _ in elems]
-    walk = extension_tree(span, BlockSeq(k, ()), m, lambda state, x: state.extend(x)[0], root)
-    for B, state in walk:
-        if len(B) == m:
-            members = sorted(index[y.values] for y in state.span())
-            attached[members[0]].append(tuple(members[1:]))
+    for _, grown, _ in condensations(span, k, (m,)):
+        members = sorted(index[y.values] for y in grown.span())
+        attached[members[0]].append(tuple(members[1:]))
 
     digits = [0] * size
     i = size - 1  # the element whose digit was just assigned

@@ -11,7 +11,6 @@ from finkit import (
     Window,
     WindowExhausted,
     common_condensation,
-    dense_open_violation,
     diagonal_build,
     diagonalizes_check,
     first_common_condensation,
@@ -21,7 +20,6 @@ from finkit import (
     mu,
     parse_seq,
     partition_refine,
-    span_peaks,
 )
 from oracles import raw_span, to_seq
 
@@ -40,11 +38,10 @@ def test_mu_examples():
 
 
 def test_span_peaks_equal_mu():
-    # sums never create new peaks, so the span-level reading agrees
+    # sums never create new peaks, so the peaks of the whole span are mu's
     cases = [seq("0:2,1:1;3:2", 2), generators(1, 4), seq("0:3;2:3,3:1", 3)]
     for A in cases:
-        w = Window(A.k, 6, 6)
-        assert span_peaks(A, w) == mu(A)
+        assert {p for x in raw_span(A) for p, v in x if v == A.k} == mu(A)
 
 
 def test_mu_monotone_under_condensation():
@@ -52,7 +49,7 @@ def test_mu_monotone_under_condensation():
     B = generators(1, 5)
     for A in initial_segments(B, 2, w):
         assert leq(A, B)
-        assert mu(A) <= span_peaks(B, w)
+        assert mu(A) <= mu(B)
 
 
 # -- common condensations -------------------------------------------------------------
@@ -334,13 +331,3 @@ def test_diagonal_clamped_pick_survives_sprawl():
     ]
     C = diagonal_build(chain, w)
     assert diagonalizes_check(C, chain, w).ok
-
-
-def test_dense_open_validator():
-    w = Window(1, 3, 3)
-    amb = generators(1, 3)
-    assert dense_open_violation(lambda s: len(s) >= 1, amb, w) is None
-    bad = dense_open_violation(lambda s: len(s) >= 2, amb, w)
-    assert bad is not None and "downward" in bad
-    never = dense_open_violation(lambda s: False, amb, w)
-    assert never is not None and "dense" in never

@@ -23,7 +23,7 @@ from finkit import (
 )
 import finkit.gowers
 from oracles import flat_verify_finite_gowers, raw_span, raw_sequences, to_elem, to_seq
-from test_span_engine import block_seqs, window_of
+from test_span_engine import block_seqs, record_walk, window_of
 
 
 W4 = Window(1, 4, 4)
@@ -295,6 +295,23 @@ def test_verify_decides_a_window_the_flat_scan_cannot_reach():
     rep = verify_finite_gowers(2, 1, 2, 3)
     assert time.monotonic() - t0 < 2.0
     assert (rep.holds, rep.colorings_checked, rep.failing_coloring) == (True, 524288, None)
+
+
+def test_searches_build_one_span_and_stop_at_the_witness(monkeypatch):
+    # each B's span is grown inside A's, and no pick past the witness is tried
+    built, tried = record_walk(monkeypatch, finkit.gowers)
+    A, w = generators(1, 8), Window(1, 8, 8)
+    for search, f, m in (
+        (gowers_search, ColoringSpec(1, 2, "size_mod"), 2),
+        (ramsey2_search, ColoringSpec(2, 2, "size_mod"), 3),
+    ):
+        del built[:], tried[:]
+        rep = search(f, A, m, w)
+        assert rep.found and built == [A] and len(tried) == rep.nodes_explored > m
+        assert tried[-1] is rep.witness.elems[-1]
+    del built[:], tried[:]
+    verify_finite_gowers(1, 2, 2, 4)
+    assert built == [generators(1, 4)] and tried
 
 
 def test_searches_color_the_span_elements_themselves(monkeypatch):

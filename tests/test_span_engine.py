@@ -205,7 +205,7 @@ def record_walk(monkeypatch, module):
     starts with one; the walks of each B's own tree, whose root is the tuple
     of the stem's elements, are not recorded."""
     built, tried = [], []
-    walk, span_of = module.extension_tree, module.span_enumerate
+    walk, span_of = core.extension_tree, module.span_enumerate
 
     def recorded_walk(candidates, stem, max_len, step, root):
         head = root[:1] if isinstance(root, tuple) else (root,)
@@ -222,7 +222,7 @@ def record_walk(monkeypatch, module):
         built.append(B)
         return span_of(B, w)
 
-    monkeypatch.setattr(module, "extension_tree", recorded_walk)
+    monkeypatch.setattr(core, "extension_tree", recorded_walk)
     monkeypatch.setattr(module, "span_enumerate", recorded_span)
     return built, tried
 
@@ -264,6 +264,38 @@ def test_extension_tree_equals_a_flat_pruned_scan(A, data):
 
     assert list(extension_tree(span, a, max_len, step, a.elems)) == expected
     assert walked == tried
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_seqs(max_k=2, max_blocks=4), st.data())
+def test_condensations_equal_the_flat_scan(A, data):
+    # over a random span-ordered sublist of picks, with a step that vetoes
+    # every pick of s or more positions (none without s): the length-m B's
+    # of each length in turn, each with its own span and its depth as state
+    w = window_of(A)
+    span = span_enumerate(A, w)
+    picks = [x for x in span if data.draw(st.booleans())]
+    lengths = data.draw(st.lists(st.integers(0, 4), max_size=3))
+    s = data.draw(st.none() | st.integers(1, 4))
+
+    def step(node, pick):
+        if len(pick.values) >= s:
+            return None
+        return node[0].extend(pick)[0], node[1] + 1
+
+    walk = core.condensations(span, A.k, lengths, None if s is None else step, 0, picks)
+    got = list(walk)
+    kept = [
+        B.elems
+        for m in lengths
+        for B in sequences_over(picks, BlockSeq(A.k, ()), m)
+        if s is None or all(len(x.values) < s for x in B)
+    ]
+    assert [B for B, _, _ in got] == kept
+    for B, grown, depth in got:
+        assert depth == (0 if s is None else len(B))
+        spanned = [raw(x) for x in grown.span()]
+        assert len(spanned) == len(set(spanned)) and set(spanned) == raw_span(BlockSeq(A.k, B))
 
 
 @settings(max_examples=150, deadline=None)
