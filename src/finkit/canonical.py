@@ -10,7 +10,6 @@ with a caveat because the complete list is longer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -18,6 +17,7 @@ from .core import (
     FinkElement,
     FinkError,
     Window,
+    _Record,
     condensations,
     format_element,
     parse_element,
@@ -29,13 +29,13 @@ from .core import (
 ZERO_CONVENTIONS = ("support-boundary", "first-zero")
 
 
-@dataclass(frozen=True)
-class LevelStats:
+class LevelStats(_Record):
     """First and last position of each value level 1..k, None when missing."""
 
-    k: int
-    mins: tuple[Optional[int], ...]
-    maxs: tuple[Optional[int], ...]
+    __slots__ = ("k", "mins", "maxs")
+
+    def __init__(self, k: int, mins: tuple[Optional[int], ...], maxs: tuple[Optional[int], ...]) -> None:
+        _Record.__init__(self, k, mins, maxs)
 
     def min_level(self, i: int) -> Optional[int]:
         return self.mins[i - 1]
@@ -77,10 +77,17 @@ def _first_at(pairs, level: int) -> Optional[int]:
     return next((pos for pos, val in pairs if val == level), None)
 
 
-@dataclass(frozen=True)
-class SosResult:
-    ok: bool
-    violated: Optional[str]  # first failed clause: range | nesting | climb:1
+class SosResult(_Record):
+    __slots__ = ("ok", "violated")
+
+    def __init__(self, ok: bool, violated: Optional[str]) -> None:
+        _Record.__init__(self, ok, violated)  # violated: the first failed clause
+
+
+# sos_check's four answers: one record each, not one per call
+_SOS_OK, _SOS_RANGE, _SOS_NESTING, _SOS_CLIMB = (
+    SosResult(True, None), SosResult(False, "range"), SosResult(False, "nesting"),
+    SosResult(False, "climb:1"))
 
 
 def sos_check(a: FinkElement, zero_convention: str = "support-boundary") -> SosResult:
@@ -105,20 +112,28 @@ def sos_check(a: FinkElement, zero_convention: str = "support-boundary") -> SosR
     """
     if zero_convention not in ZERO_CONVENTIONS:
         raise FinkError(f"unknown zero convention {zero_convention!r}")
-    st = level_stats(a)
+    # level_stats' landmarks, read inline and indexed by level; the k >= 2
+    # classify calls this once per element of its span
     k = a.k
-    if None in st.mins:
-        return SosResult(False, "range")
+    mins: list[Optional[int]] = [None] * (k + 1)
+    maxs: list[Optional[int]] = [None] * (k + 1)
+    for pos, val in a.values:
+        if mins[val] is None:
+            mins[val] = pos
+        maxs[val] = pos
+    if None in mins[1:]:
+        return _SOS_RANGE
     # consecutive levels nest exactly when every pair of levels does
-    if any(st.mins[i] >= st.mins[i + 1] or st.maxs[i + 1] >= st.maxs[i] for i in range(k - 1)):
-        return SosResult(False, "nesting")
+    for i in range(1, k):
+        if mins[i] >= mins[i + 1] or maxs[i + 1] >= maxs[i]:
+            return _SOS_NESTING
     if zero_convention == "first-zero" and k >= 2:
         # positions strictly increase from 0, so the first zero is the first
         # index whose position runs ahead of it
         first_zero = next((i for i, (pos, _) in enumerate(a.values) if pos != i), len(a.values))
-        if first_zero > st.mins[1]:
-            return SosResult(False, "climb:1")
-    return SosResult(True, None)
+        if first_zero > mins[2]:
+            return _SOS_CLIMB
+    return _SOS_OK
 
 
 # per relation kind, its name and its parameter as parse_rule reads it; a
@@ -135,8 +150,7 @@ def _require_level(level: int, k: int) -> None:
         raise FinkError(f"level {level} outside 1..{k}")
 
 
-@dataclass(frozen=True)
-class EquivRelSpec:
+class EquivRelSpec(_Record):
     """A decidable equivalence relation on windowed elements.
 
     Built-ins: equality, full, min_level:i, max_level:i, minmax_level:i,
@@ -146,10 +160,17 @@ class EquivRelSpec:
     Every relation is given by its key function: a R b iff key(a) == key(b).
     """
 
-    kind: str
-    level: int = 0
-    classes: Optional[dict[str, str]] = None  # element text -> its class's root text
-    window: Optional[Window] = None
+    __slots__ = ("kind", "level", "classes", "window")
+
+    def __init__(
+        self,
+        kind: str,
+        level: int = 0,
+        classes: Optional[dict[str, str]] = None,  # element text -> its class's root text
+        window: Optional[Window] = None,
+    ) -> None:
+        _Record.__init__(self, kind, level, classes, window)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in _RELATION_KINDS:
@@ -266,12 +287,11 @@ PARTIAL_LIST_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
-class CanonicalizationResult:
-    relation: str
-    spec: EquivRelSpec
-    witness: BlockSeq
-    caveat: Optional[str]
+class CanonicalizationResult(_Record):
+    __slots__ = ("relation", "spec", "witness", "caveat")
+
+    def __init__(self, relation: str, spec: EquivRelSpec, witness: BlockSeq, caveat: Optional[str]) -> None:
+        _Record.__init__(self, relation, spec, witness, caveat)
 
 
 def canonicalize_search(

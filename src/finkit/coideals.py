@@ -11,7 +11,6 @@ past the previous one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import (
@@ -20,6 +19,7 @@ from .core import (
     FinkError,
     Window,
     WindowExhausted,
+    _Record,
     decompose,
     leq,
     span_enumerate,
@@ -76,8 +76,7 @@ def first_common_condensation(base, B: BlockSeq, L: int, w: Window) -> Optional[
     return None
 
 
-@dataclass(frozen=True)
-class CoidealPresentation:
+class CoidealPresentation(_Record):
     """A finitely presented coideal of block sequences over a window.
 
     kind "all" is the trivial coideal; "top_of" closes a finite base family
@@ -86,10 +85,17 @@ class CoidealPresentation:
     predicate on sets of integers.
     """
 
-    kind: str
-    window: Window
-    base: tuple[BlockSeq, ...] = ()
-    peak_pred: Optional[Callable[[set[int]], bool]] = None
+    __slots__ = ("kind", "window", "base", "peak_pred")
+
+    def __init__(
+        self,
+        kind: str,
+        window: Window,
+        base: tuple[BlockSeq, ...] = (),
+        peak_pred: Optional[Callable[[set[int]], bool]] = None,
+    ) -> None:
+        _Record.__init__(self, kind, window, base, peak_pred)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in ("all", "top_of", "mu_over"):
@@ -108,10 +114,11 @@ class CoidealPresentation:
         return self.peak_pred(mu(A))  # mu_over
 
 
-@dataclass(frozen=True)
-class RefineResult:
-    side: Optional[str]  # "left" | "right" | None when exhausted
-    witness: Optional[BlockSeq]
+class RefineResult(_Record):
+    __slots__ = ("side", "witness")
+
+    def __init__(self, side: Optional[str], witness: Optional[BlockSeq]) -> None:
+        _Record.__init__(self, side, witness)  # side: "left" | "right" | None when exhausted
 
 
 def partition_refine(A: BlockSeq, mask, L: int, w: Window) -> RefineResult:
@@ -133,10 +140,11 @@ def partition_refine(A: BlockSeq, mask, L: int, w: Window) -> RefineResult:
     return RefineResult(None, None)
 
 
-@dataclass(frozen=True)
-class DiagonalizationReport:
-    ok: bool
-    violator: Optional[FinkElement]  # a span element b whose tail leaves the chain
+class DiagonalizationReport(_Record):
+    __slots__ = ("ok", "violator")
+
+    def __init__(self, ok: bool, violator: Optional[FinkElement]) -> None:
+        _Record.__init__(self, ok, violator)  # violator: a span element b whose tail leaves the chain
 
 
 def _validate_chain(chain) -> None:

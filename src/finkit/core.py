@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 
@@ -50,12 +49,56 @@ class WindowExhausted(FinkError):
     """A construction ran out of room inside the finite window."""
 
 
-@dataclass(frozen=True, slots=True)
-class FinkElement:
+class _Record:
+    """An immutable record: the value, spec and result types of the package.
+
+    Each subclass lists its fields, in order, as __slots__ and sets them in
+    its own __init__, with _Record.__init__ or the slots' own setters; after
+    that no attribute can be set or deleted.  A record equals only a record
+    of its own class with equal fields, and hashes and prints by its fields
+    in order.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FinkElement(_Record):
     """A member of FIN_k: values sorted by position, all in 1..k, k attained."""
 
-    k: int
-    values: tuple[tuple[int, int], ...]
+    __slots__ = ("k", "values")
+
+    def __init__(self, k: int, values: tuple[tuple[int, int], ...]) -> None:
+        _set_k(self, k)
+        _set_values(self, values)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -75,6 +118,14 @@ class FinkElement:
             last = pos
         if not attained:
             raise InvalidElement(f"k not attained: no value equals {self.k}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.values) == (other.k, other.values)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.values))
 
     def support(self) -> tuple[int, ...]:
         return tuple(pos for pos, _ in self.values)
@@ -114,12 +165,15 @@ def _composed_element(k: int, values: tuple) -> FinkElement:
     return x
 
 
-@dataclass(frozen=True)
-class BlockSeq:
+class BlockSeq(_Record):
     """A finite block sequence: supports strictly separated, shared level k."""
 
-    k: int
-    elems: tuple[FinkElement, ...]
+    __slots__ = ("k", "elems")
+
+    def __init__(self, k: int, elems: tuple[FinkElement, ...]) -> None:
+        _set_seq_k(self, k)
+        _set_elems(self, elems)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -134,6 +188,14 @@ class BlockSeq:
                     f"previous ends at {prev_end}"
                 )
             prev_end = x.max_supp
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.elems) == (other.k, other.elems)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.elems))
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -156,13 +218,17 @@ class BlockSeq:
         return format_seq(self)
 
 
-@dataclass(frozen=True)
-class Window:
+_set_seq_k, _set_elems = BlockSeq.k.__set__, BlockSeq.elems.__set__
+
+
+class Window(_Record):
     """Finite truncation: positions in [0, n_max), sequence lengths <= len_max."""
 
-    k: int
-    n_max: int
-    len_max: int
+    __slots__ = ("k", "n_max", "len_max")
+
+    def __init__(self, k: int, n_max: int, len_max: int) -> None:
+        _Record.__init__(self, k, n_max, len_max)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.n_max < 1 or self.len_max < 1:
@@ -177,11 +243,14 @@ class Window:
             raise FinkError(f"{what} {n} outside 1..{self.len_max}")
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """How an element arises from generators: (generator index, tetris exponent) pairs."""
 
-    parts: tuple[tuple[int, int], ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[int, int], ...]) -> None:
+        _Record.__init__(self, parts)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         last = -1
@@ -250,8 +319,8 @@ def _composed_seq(k: int, elems: tuple) -> BlockSeq:
     """A BlockSeq of level-k elements already known to be block ordered,
     built without re-running the checks of __post_init__."""
     a = object.__new__(BlockSeq)
-    object.__setattr__(a, "k", k)
-    object.__setattr__(a, "elems", elems)
+    _set_seq_k(a, k)
+    _set_elems(a, elems)
     return a
 
 

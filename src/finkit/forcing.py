@@ -12,7 +12,6 @@ window, not to the infinite notions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import (
@@ -20,6 +19,7 @@ from .core import (
     FinkError,
     IncompatibleStem,
     Window,
+    _Record,
     condensations,
     decompose,
     extension_tree,
@@ -37,8 +37,7 @@ _FAMILY_KINDS = {"empty": None, "all_singletons": None, "min_even_first": None,
                  "support_ge": int, "explicit": str}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """A decidable family of finite block sequences; contains also takes the
     tuple of a sequence's elements.  Built-ins: ``empty`` (no members),
     ``all_singletons`` (every length-1 sequence), ``min_even_first``
@@ -47,9 +46,11 @@ class FamilySpec:
     finite list given by canonical strings).
     """
 
-    kind: str
-    s: Optional[int] = None
-    members: frozenset[str] = frozenset()
+    __slots__ = ("kind", "s", "members")
+
+    def __init__(self, kind: str, s: Optional[int] = None, members: frozenset[str] = frozenset()) -> None:
+        _Record.__init__(self, kind, s, members)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in _FAMILY_KINDS:
@@ -83,26 +84,33 @@ def parse_family(text: str, k: int) -> FamilySpec:
     return FamilySpec(kind, s=param)
 
 
-@dataclass(frozen=True)
-class AcceptsResult:
-    holds: bool
-    branch: Optional[BlockSeq]  # a maximal branch avoiding the family, when false
+class AcceptsResult(_Record):
+    __slots__ = ("holds", "branch")
+
+    def __init__(self, holds: bool, branch: Optional[BlockSeq]) -> None:
+        _Record.__init__(self, holds, branch)  # branch: one avoiding the family, when false
 
 
-@dataclass(frozen=True)
-class RejectsResult:
-    holds: bool
-    condensation: Optional[BlockSeq]  # an accepting condensation, when false
+class RejectsResult(_Record):
+    __slots__ = ("holds", "condensation")
+
+    def __init__(self, holds: bool, condensation: Optional[BlockSeq]) -> None:
+        _Record.__init__(self, holds, condensation)  # condensation: an accepting one, when false
 
 
-@dataclass(frozen=True)
-class ForcingVerdict:
+class ForcingVerdict(_Record):
     """accepts and rejects are mutually exclusive; undecided carries both
     failure witnesses (an avoiding branch and an accepting condensation)."""
 
-    status: str  # accepts | rejects | undecided
-    branch: Optional[BlockSeq] = None
-    condensation: Optional[BlockSeq] = None
+    __slots__ = ("status", "branch", "condensation")
+
+    def __init__(
+        self,
+        status: str,  # accepts | rejects | undecided
+        branch: Optional[BlockSeq] = None,
+        condensation: Optional[BlockSeq] = None,
+    ) -> None:
+        _Record.__init__(self, status, branch, condensation)
 
 
 def _require_stem(B: BlockSeq, a: BlockSeq) -> None:
@@ -223,10 +231,11 @@ def decides(
     return ForcingVerdict("rejects" if B2 is None else "undecided", branch, B2)
 
 
-@dataclass(frozen=True)
-class DichotomyResult:
-    alternative: Optional[int]  # 1, 2, or None when the window is exhausted
-    witness: Optional[BlockSeq]
+class DichotomyResult(_Record):
+    __slots__ = ("alternative", "witness")
+
+    def __init__(self, alternative: Optional[int], witness: Optional[BlockSeq]) -> None:
+        _Record.__init__(self, alternative, witness)  # alternative: 1, 2, or None when exhausted
 
 
 def galvin_dichotomy(
@@ -264,10 +273,11 @@ def galvin_dichotomy(
     return DichotomyResult(alternative, B)
 
 
-@dataclass(frozen=True)
-class OpenSetResult:
-    side: Optional[str]  # "inside" | "outside" | None when exhausted
-    witness: Optional[BlockSeq]
+class OpenSetResult(_Record):
+    __slots__ = ("side", "witness")
+
+    def __init__(self, side: Optional[str], witness: Optional[BlockSeq]) -> None:
+        _Record.__init__(self, side, witness)  # side: "inside" | "outside" | None when exhausted
 
 
 def open_set_ramsey(F: FamilySpec, A: BlockSeq, m: int, w: Window) -> OpenSetResult:

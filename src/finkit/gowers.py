@@ -9,7 +9,6 @@ miss only means the window was too small, never a refutation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .core import (
@@ -19,6 +18,7 @@ from .core import (
     FinkError,
     Window,
     _composed_seq,
+    _Record,
     condensations,
     format_element,
     parse_rule,
@@ -46,8 +46,7 @@ _COLORING_KINDS = {"const": int, "min_mod": None, "max_mod": None, "size_mod": N
                    "value_at": int, "table": str}
 
 
-@dataclass(frozen=True)
-class ColoringSpec:
+class ColoringSpec(_Record):
     """A total coloring with r colors of elements (arity 1) or length-n sequences.
 
     The rule is either a built-in tag, an explicit lookup table keyed by
@@ -57,12 +56,19 @@ class ColoringSpec:
     ``value_at:p``.
     """
 
-    arity: int
-    r: int
-    kind: str  # const | min_mod | max_mod | size_mod | value_at | table | func
-    param: Optional[int] = None
-    table: Optional[dict[str, int]] = None
-    func: Optional[Callable[[Colorable], int]] = None
+    __slots__ = ("arity", "r", "kind", "param", "table", "func")
+
+    def __init__(
+        self,
+        arity: int,
+        r: int,
+        kind: str,  # const | min_mod | max_mod | size_mod | value_at | table | func
+        param: Optional[int] = None,
+        table: Optional[dict[str, int]] = None,
+        func: Optional[Callable[[Colorable], int]] = None,
+    ) -> None:
+        _Record.__init__(self, arity, r, kind, param, table, func)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in _COLORING_KINDS and self.kind != "func":
@@ -151,12 +157,13 @@ def parse_coloring(text: str, r: int, arity: int = 1) -> ColoringSpec:
     return ColoringSpec(arity, r, kind, param=param)
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    found: bool
-    witness: Optional[BlockSeq]
-    color: Optional[int]
-    nodes_explored: int
+class SearchReport(_Record):
+    __slots__ = ("found", "witness", "color", "nodes_explored")
+
+    def __init__(
+        self, found: bool, witness: Optional[BlockSeq], color: Optional[int], nodes_explored: int
+    ) -> None:
+        _Record.__init__(self, found, witness, color, nodes_explored)
 
 
 def _heads(added, start: int, length: int):
@@ -249,11 +256,16 @@ def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRep
     return _first_monochromatic(f, k, m, span_enumerate(A, w), added)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    holds: bool
-    colorings_checked: int
-    failing_coloring: Optional[dict[str, int]]  # canonical element -> color
+class VerifyReport(_Record):
+    __slots__ = ("holds", "colorings_checked", "failing_coloring")
+
+    def __init__(
+        self,
+        holds: bool,
+        colorings_checked: int,
+        failing_coloring: Optional[dict[str, int]],  # canonical element -> color
+    ) -> None:
+        _Record.__init__(self, holds, colorings_checked, failing_coloring)
 
 
 def verify_finite_gowers(

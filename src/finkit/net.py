@@ -9,23 +9,23 @@ logarithm is ever evaluated and the round trip is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FinkElement, FinkError, ParseError, _parse_pairs
+from .core import FinkElement, FinkError, ParseError, _parse_pairs, _Record
 
 
-@dataclass(frozen=True)
-class NetFunction:
+class NetFunction(_Record):
     """A net function stored as sorted (position, exponent) pairs.
 
     h(position) = (1+delta)^(-exponent); exponents lie in 0..k-1 and some
     exponent is 0, so h attains the value 1.
     """
 
-    k: int
-    delta: Fraction
-    exponents: tuple[tuple[int, int], ...]
+    __slots__ = ("k", "delta", "exponents")
+
+    def __init__(self, k: int, delta: Fraction, exponents: tuple[tuple[int, int], ...]) -> None:
+        _Record.__init__(self, k, delta, exponents)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.k < 1:

@@ -2,7 +2,9 @@
 
 Everything here works on raw value maps (frozensets of (position, value)
 pairs) and plain tuples; it shares no enumeration, pruning or search code
-with the library paths it is used to check.  There are three exceptions.
+with the library paths it is used to check.  RECORD_TWINS holds a frozen
+dataclass per record type of the library, with its fields and defaults
+only.  There are three exceptions.
 flat_verify_finite_gowers runs the library's gowers_search once per
 coloring: it shares the span engine with verify_finite_gowers but none of
 its backtracking, and test_c04's own flat checker covers both.  flat_galvin
@@ -15,6 +17,7 @@ grow each condensation's span inside B's with the condensation walk.
 
 import bisect
 import itertools
+from dataclasses import make_dataclass
 from fractions import Fraction
 
 from finkit import (
@@ -331,3 +334,37 @@ def k_for_epsilon_by_loop(epsilon: Fraction):
         k += 1
         power *= 1 + delta
     return k, delta
+
+
+def _twin(name: str, *fields):
+    """A frozen dataclass named as a library record: each field is a name, or
+    (name, default) for one with a default."""
+    spec = [(f, object) if isinstance(f, str) else (f[0], object, f[1]) for f in fields]
+    return make_dataclass(name, spec, frozen=True)
+
+
+# per record type of the library, its twin: the fields in order, with their
+# defaults, but no validation and no methods
+RECORD_TWINS = {twin.__name__: twin for twin in (
+    _twin("FinkElement", "k", "values"),
+    _twin("BlockSeq", "k", "elems"),
+    _twin("Window", "k", "n_max", "len_max"),
+    _twin("Decomposition", "parts"),
+    _twin("ColoringSpec", "arity", "r", "kind", ("param", None), ("table", None), ("func", None)),
+    _twin("SearchReport", "found", "witness", "color", "nodes_explored"),
+    _twin("VerifyReport", "holds", "colorings_checked", "failing_coloring"),
+    _twin("LevelStats", "k", "mins", "maxs"),
+    _twin("SosResult", "ok", "violated"),
+    _twin("EquivRelSpec", "kind", ("level", 0), ("classes", None), ("window", None)),
+    _twin("CanonicalizationResult", "relation", "spec", "witness", "caveat"),
+    _twin("FamilySpec", "kind", ("s", None), ("members", frozenset())),
+    _twin("AcceptsResult", "holds", "branch"),
+    _twin("RejectsResult", "holds", "condensation"),
+    _twin("ForcingVerdict", "status", ("branch", None), ("condensation", None)),
+    _twin("DichotomyResult", "alternative", "witness"),
+    _twin("OpenSetResult", "side", "witness"),
+    _twin("CoidealPresentation", "kind", "window", ("base", ()), ("peak_pred", None)),
+    _twin("RefineResult", "side", "witness"),
+    _twin("DiagonalizationReport", "ok", "violator"),
+    _twin("NetFunction", "k", "delta", "exponents"),
+)}

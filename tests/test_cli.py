@@ -740,6 +740,8 @@ def test_importing_the_cli_loads_finkit_and_the_standard_library_only():
         "canonical", "cli", "coideals", "core", "forcing", "gowers", "net"))]
     others = {name.partition(".")[0] for name in loaded} - {"finkit"}
     assert others <= sys.stdlib_module_names, sorted(others - sys.stdlib_module_names)
+    # no class is generated at import: the records are written out by hand
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
 
 
 def _closed_pipe_run(mode, unbuffered, read_first_line):
