@@ -11,6 +11,7 @@ options before the handler runs.  The --help description is _DESCRIPTION.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -490,6 +491,18 @@ _PARSERS: dict[Optional[str], argparse.ArgumentParser] = {}
 
 
 def run(argv=None) -> int:
+    """Run one command line (sys.argv[1:] by default): print its report to
+    stdout, or its error to stderr, and return the exit code (EXIT_OK,
+    EXIT_EXHAUSTED or EXIT_USAGE).
+
+    The command's handler runs with the cyclic garbage collector paused, and
+    the collector's earlier state is restored however it ends.  A query
+    makes no reference cycles, so a collection would only traverse the live
+    spans and sequences again and free nothing.  The cyclic garbage a run
+    does make is made outside the handler, with the collector on: argparse's
+    formatters when a parser is first built, json's indenting encoder under
+    --json.
+    """
     argv = sys.argv[1:] if argv is None else argv
     key = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = _PARSERS.get(key)
@@ -499,11 +512,16 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         report, code = _COMMANDS[args.command].handler(args)
     except (FinkError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
     if args.json:
         print(json.dumps(report, indent=2))
     else:

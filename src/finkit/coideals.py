@@ -206,10 +206,8 @@ def diagonal_build(chain: list[BlockSeq], w: Window) -> BlockSeq:
                 pick = x
                 break
         if pick is None:
-            err = WindowExhausted(f"no eligible pick at step {step}")
-            err.partial = BlockSeq(k, tuple(picks))
-            err.step = step
-            raise err
+            partial = BlockSeq(k, tuple(picks))
+            raise WindowExhausted(f"no eligible pick at step {step}", partial, step)
         picks.append(pick)
         end = pick.max_supp
     return BlockSeq(k, tuple(picks))

@@ -46,7 +46,18 @@ class BudgetExceeded(FinkError):
 
 
 class WindowExhausted(FinkError):
-    """A construction ran out of room inside the finite window."""
+    """A construction ran out of room inside the finite window, at step,
+    with what it had built so far as partial.
+
+    Built and raised in one expression, so the raising frame holds no
+    reference to it: a local would make a cycle through its traceback."""
+
+    def __init__(
+        self, message: str, partial: Optional[BlockSeq] = None, step: Optional[int] = None
+    ) -> None:
+        super().__init__(message)
+        self.partial = partial
+        self.step = step
 
 
 class _Record:

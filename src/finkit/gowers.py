@@ -8,7 +8,6 @@ miss only means the window was too small, never a refutation.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional, Union
 
 from .core import (
@@ -180,34 +179,39 @@ def _heads(added, start: int, length: int):
                 yield head + (y,)
 
 
-def _first_monochromatic(f: ColoringSpec, k: int, m: int, span, added, leads: bool = False):
+def _first_monochromatic(f: ColoringSpec, k: int, m: int, span, brings):
     """The search of gowers_search and ramsey2_search: the condensation walk
     below A, whose span is span, pruning a partial B as soon as the objects
-    its picks added carry two colors.  added(grown, fresh) lists the objects
-    to color that a pick adds, given B's span state grown by the pick and
-    the elements it added.  With leads, the first of those is the pick
-    itself: it is colored before the span grows, so a pick that clashes on
-    its own color costs no extend, and the colors are asked for in the same
-    order.  The picks tried, one step each, are the report's nodes_explored."""
+    its picks brought carry two colors.  brings(state, elements) lists, in
+    order, the objects to color that the given elements bring when they join
+    B's span, where state is B's SpanState before the pick that adds them.
+
+    The parent's state is enough: a pick is the first element it adds (the
+    empty sum joined with T^0), and an object an added element x brings
+    takes its other terms from picks that end before x starts.  So what the
+    pick alone brings is colored before the span grows, and a pick that
+    clashes there costs no extend; the rest is colored once it has grown.
+    The colors are asked for in the same order as if the span grew first.
+    The picks tried, one step each, are the report's nodes_explored."""
     nodes = 0
 
     def step(node, pick):
         nonlocal nodes
         nodes += 1
-        grown, color = node
-        if leads:
-            c = f.color(pick)
-            if color is not None and c != color:
-                return None
-            color = c
-        grown, fresh = grown.extend(pick)
-        for obj in itertools.islice(added(grown, fresh), leads, None):
-            c = f.color(obj)
-            if color is None:
-                color = c
-            elif c != color:
-                return None
-        return grown, color
+        parent, color = node
+        # two rounds: what the pick alone brings, then what the rest it adds brings
+        objs, grown = brings(parent, (pick,)), None
+        while True:
+            for obj in objs:
+                c = f.color(obj)
+                if color is None:
+                    color = c
+                elif c != color:
+                    return None
+            if grown is not None:
+                return grown, color
+            grown, fresh = parent.extend(pick)
+            objs = brings(parent, fresh[1:])
 
     for B, _, color in condensations(span, k, (m,), step):
         return SearchReport(True, BlockSeq(k, B), color, nodes)
@@ -227,15 +231,18 @@ def gowers_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRepo
         raise FinkError(f"gowers_search needs an arity-1 coloring, got {f.arity}")
     w.require_length(m)
     f.check_total(w)
-    # a pick's first added element is the pick: the empty sum joined with T^0
-    return _first_monochromatic(
-        f, A.k, m, span_enumerate(A, w), lambda grown, fresh: fresh, leads=True
-    )
+    return _first_monochromatic(f, A.k, m, span_enumerate(A, w), lambda state, elements: elements)
 
 
 def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchReport:
     """Search for B <= A of length m with f constant on all length-n
-    block sequences drawn from the span of B (n = f.arity)."""
+    block sequences drawn from the span of B (n = f.arity).
+
+    Each such sequence is colored once, when the pick that adds its last
+    term is tried: a sequence ending at an added element x takes its other
+    terms from the picks that end before x starts.  So the sequences that
+    end at the pick itself are colored before B's span grows by it, and a
+    pick rejected there is never extended."""
     n = f.arity
     if n > m:
         raise FinkError(f"arity {n} exceeds target length {m}")
@@ -243,17 +250,15 @@ def ramsey2_search(f: ColoringSpec, A: BlockSeq, m: int, w: Window) -> SearchRep
     f.check_total(w)
     k = A.k
 
-    def added(grown, fresh):
-        # A sequence that uses an element the pick adds ends with it; its other
-        # terms lie in the span of the picks that end before that element
-        # starts, so it is block ordered by construction.
+    def brings(state, elements):
+        # block ordered by construction: every head ends before x starts
         return (
             _composed_seq(k, head + (x,))
-            for x in fresh
-            for head in _heads(grown.added, x.min_supp, n - 1)
+            for x in elements
+            for head in _heads(state.added, x.min_supp, n - 1)
         )
 
-    return _first_monochromatic(f, k, m, span_enumerate(A, w), added)
+    return _first_monochromatic(f, k, m, span_enumerate(A, w), brings)
 
 
 class VerifyReport(_Record):

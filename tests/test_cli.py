@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import io
 import json
@@ -943,3 +944,74 @@ def test_report_bytes_and_exit_codes_are_pinned(tmp_path, monkeypatch):
         for mode, digest in (((), text_digest), (("--json",), json_digest)):
             got, out, err = invoke([*argv, *mode])
             assert (got, err, _sha256(out)) == (code, "", digest), (argv, mode)
+
+
+def _set_collector(on):
+    if on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collecting(request):
+    """The collector's state when run is called; the earlier one is restored."""
+    was = gc.isenabled()
+    _set_collector(request.param)
+    yield request.param
+    _set_collector(was)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["tk", "3"], 0),
+        (["sos", "--k", "2", "0:2"], 1),
+        (["tk", "1000000000"], 2),
+        (["tk", "--bogus"], 2),
+    ],
+)
+def test_run_restores_the_collector_state(argv, code, collecting):
+    # the handler runs with the collector paused; the state before run is the
+    # state after it, and a caller that disabled the collector keeps it off
+    assert invoke(argv)[0] == code
+    assert gc.isenabled() is collecting
+
+
+def test_run_restores_the_collector_state_when_a_handler_raises(monkeypatch, collecting):
+    seen = []
+
+    def handler(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setitem(cli._COMMANDS, "tk", cli._COMMANDS["tk"]._replace(handler=handler))
+    with pytest.raises(RuntimeError, match="^handler failed$"):
+        run(["tk", "3"])
+    assert seen == [False] and gc.isenabled() is collecting
+
+
+def test_a_query_leaves_no_cyclic_garbage(tmp_path, monkeypatch):
+    # why pausing the collector is safe: no pinned line of any command, and
+    # no refusal, makes anything that only the cyclic collector could free.
+    # The first round builds the parsers, whose argparse formatters are
+    # cyclic.  Text mode only: --json renders with json's indenting encoder,
+    # whose closures are cyclic, but it runs after the handler, with the
+    # collector restored.
+    monkeypatch.chdir(tmp_path)
+    for name, text in REPORT_FILES.items():
+        (tmp_path / name).write_text(text)
+    lines = {argv: code for argv, (code, _, _) in REPORT_SHA256.items()}
+    assert {argv[0] for argv in lines} == set(cli._COMMANDS)
+    lines[("tk", "1000000000")] = 2
+    lines[("diagonal", "--k", "1", "--nmax", "4", "--chain", "missing.txt")] = 2
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(2):
+            gc.collect()
+            for argv, code in lines.items():
+                assert invoke(list(argv))[0] == code, argv
+        assert gc.collect() == 0
+    finally:
+        _set_collector(was)

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -365,6 +366,43 @@ def test_gowers_nodes_and_color_calls_are_pinned(k, n, r, m, nodes, calls):
 
     rep = gowers_search(ColoringSpec.from_function(color, r), generators(k, n), m, Window(k, n, n))
     assert (rep.nodes_explored, len(colored)) == (nodes, calls)
+
+
+@pytest.mark.parametrize(
+    "k, N, r, m, n, nodes, calls, digest, extends",
+    [
+        (1, 10, 2, 4, 3, 5606, 8343,
+         "e682d9f0d6407f20738f303ba2a142736943deb3b705c5eee87f14460890a09d", 2438),
+        (1, 8, 2, 3, 2, 485, 775,
+         "d4b5f0029cb62e0031cbaccc6712ffe1bf4789552d210d7cc637569e58be9e9e", None),
+        (1, 9, 3, 4, 3, 7680, 7360,
+         "63e31171f49b39ce15e3c1f460fb4924980263a3784905851d5b5d132248a7d3", None),
+    ],
+)
+def test_ramsey2_nodes_and_color_calls_are_pinned(monkeypatch, k, N, r, m, n, nodes, calls, digest, extends):
+    # the sequences that end at a pick are colored before its span grows, so
+    # a pick that clashes there costs no extend: the same steps, and the same
+    # sequences colored in the same order, as coloring after every extend
+    size = ColoringSpec(n, r, "size_mod")
+    colored = []
+
+    def color(s):
+        colored.append(str(s))
+        return size.color(s)
+
+    extended = []
+    extend = finkit.core.SpanState.extend
+
+    def counted(state, block):
+        extended.append(block)
+        return extend(state, block)
+
+    monkeypatch.setattr(finkit.core.SpanState, "extend", counted)
+    rep = ramsey2_search(ColoringSpec.from_function(color, r, n), generators(k, N), m, Window(k, N, N))
+    assert (rep.nodes_explored, len(colored)) == (nodes, calls)
+    assert hashlib.sha256("\n".join(colored).encode()).hexdigest() == digest
+    if extends is not None:
+        assert len(extended) == extends
 
 
 def count_checks(monkeypatch, cls):
