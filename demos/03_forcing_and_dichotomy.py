@@ -54,7 +54,7 @@ print(f"  alternative {d.alternative} with witness {d.witness}")
 print("  every span element of the witness starts at an even position")
 print()
 
-wide = FamilySpec("support_ge", s=2)
+wide = FamilySpec("support_ge", 2)
 d = galvin_dichotomy(A, empty, wide, 2, w8)
 print(f"Dichotomy for 'every element has support size >= 2':")
 print(f"  alternative {d.alternative} with witness {d.witness}")

@@ -37,7 +37,7 @@ print(f"Common condensation of the even singletons and all singletons: {C}")
 print("  greedy earliest-end picks a maximum chain, so 'absent' is decisive")
 print()
 
-coideal = CoidealPresentation("top_of", w, base=(evens,))
+coideal = CoidealPresentation("top_of", w, (evens,))
 member = parse_seq("0:1,1:1;3:1,4:1", 1)
 print(f"Is {member} in the closure coideal of {{{evens}}}?",
       coideal.contains(member, L=1))

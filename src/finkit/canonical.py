@@ -18,11 +18,12 @@ from .core import (
     FinkError,
     Window,
     _Record,
+    check_rule,
     condensations,
     format_element,
     parse_element,
     parse_rule,
-    read_lines,
+    read_table,
     span_enumerate,
 )
 
@@ -136,12 +137,14 @@ def sos_check(a: FinkElement, zero_convention: str = "support-boundary") -> SosR
     return _SOS_OK
 
 
-# per relation kind, its name and its parameter as parse_rule reads it; a
-# level kind's name at k >= 2 adds the level
+# the relation kinds table: per kind, its name and its param as core.check_rule
+# reads it; a level kind's name at k >= 2 adds the level
+_LEVEL = (int, "a level")
 _RELATION_KINDS = {"equality": ("=", None), "full": ("FIN^2", None),
-                   "size_parity": ("size_parity", None), "table": ("table", str),
-                   "min_level": ("min", int), "max_level": ("max", int),
-                   "minmax_level": ("(min,max)", int)}
+                   "size_parity": ("size_parity", None), "table": ("table", (str, "its classes")),
+                   "min_level": ("min", _LEVEL), "max_level": ("max", _LEVEL),
+                   "minmax_level": ("(min,max)", _LEVEL)}
+_RELATION_PARAMS = {kind: param for kind, (_, param) in _RELATION_KINDS.items()}
 
 
 def _require_level(level: int, k: int) -> None:
@@ -153,32 +156,25 @@ def _require_level(level: int, k: int) -> None:
 class EquivRelSpec(_Record):
     """A decidable equivalence relation on windowed elements.
 
-    Built-ins: equality, full, min_level:i, max_level:i, minmax_level:i,
-    size_parity.  Table relations come from an edge list whose transitive
-    closure is computed on load; elements the table never mentions form
-    singleton classes, and elements outside the table's window are rejected.
-    Every relation is given by its key function: a R b iff key(a) == key(b).
+    Built-ins: equality, full, min_level:i, max_level:i, minmax_level:i
+    (param the level i), size_parity.  Table relations come from an edge
+    list whose transitive closure is computed on load (param the classes:
+    each mentioned element's text to its class's root text); elements the
+    table never mentions form singleton classes, and elements outside the
+    table's window are rejected.  Every relation is given by its key
+    function: a R b iff key(a) == key(b).
     """
 
-    __slots__ = ("kind", "level", "classes", "window")
+    __slots__ = ("kind", "param", "window")
 
-    def __init__(
-        self,
-        kind: str,
-        level: int = 0,
-        classes: Optional[dict[str, str]] = None,  # element text -> its class's root text
-        window: Optional[Window] = None,
-    ) -> None:
-        _Record.__init__(self, kind, level, classes, window)
+    def __init__(self, kind: str, param=None, window: Optional[Window] = None) -> None:
+        _Record.__init__(self, kind, param, window)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.kind not in _RELATION_KINDS:
-            raise FinkError(f"unknown relation kind {self.kind!r}")
-        if self.kind.endswith("_level") and self.level < 1:
-            raise FinkError(f"relation kind {self.kind!r} needs a level >= 1, got {self.level}")
-        if self.kind == "table" and self.classes is None:
-            raise FinkError("relation kind 'table' needs its classes")
+        check_rule("relation", self.kind, self.param, _RELATION_PARAMS)
+        if self.kind.endswith("_level") and self.param < 1:
+            raise FinkError(f"relation kind {self.kind!r} needs a level >= 1, got {self.param}")
 
     def key(self, a: FinkElement):
         """The class of a: two elements are related exactly when their keys are equal."""
@@ -189,22 +185,22 @@ class EquivRelSpec(_Record):
         if self.kind == "size_parity":
             return len(a.values) % 2
         if self.kind == "min_level":
-            return _first_at(a.values, self.level)
+            return _first_at(a.values, self.param)
         if self.kind == "max_level":
-            return _first_at(reversed(a.values), self.level)
+            return _first_at(reversed(a.values), self.param)
         if self.kind == "minmax_level":
-            return _first_at(a.values, self.level), _first_at(reversed(a.values), self.level)
+            return _first_at(a.values, self.param), _first_at(reversed(a.values), self.param)
         if self.window is not None and not self.window.contains_element(a):  # table
             raise FinkError(f"element {a} outside the relation's window")
         text = format_element(a)
-        return self.classes.get(text, text)  # unmentioned: a class of its own
+        return self.param.get(text, text)  # unmentioned: a class of its own
 
     def holds(self, a: FinkElement, b: FinkElement) -> bool:
         return self.key(a) == self.key(b)
 
     def name(self, k: int) -> str:
         base = _RELATION_KINDS[self.kind][0]
-        return f"{base}_{self.level}" if k > 1 and self.kind.endswith("_level") else base
+        return f"{base}_{self.param}" if k > 1 and self.kind.endswith("_level") else base
 
     @staticmethod
     def from_pairs(pairs, k: int, window: Optional[Window] = None) -> "EquivRelSpec":
@@ -229,26 +225,18 @@ class EquivRelSpec(_Record):
             if la != rb:
                 parent[la] = rb
         # every root is a mentioned element, so no unmentioned text equals one
-        return EquivRelSpec("table", classes={key: find(key) for key in parent}, window=window)
+        return EquivRelSpec("table", {key: find(key) for key in parent}, window)
 
 
 def parse_relation(text: str, k: int, window: Optional[Window] = None) -> EquivRelSpec:
     """Parse the CLI syntax: equality, full, min_level:1, max_level:1,
     minmax_level:1, size_parity, table:FILE (elementA<TAB>elementB lines)."""
-    kinds = {kind: param for kind, (_, param) in _RELATION_KINDS.items()}
-    kind, param = parse_rule("relation", text, kinds)
+    kind, param = parse_rule("relation", text, _RELATION_PARAMS)
     if kind == "table":
-        pairs = []
-        for line in read_lines(param):
-            fields = line.split("\t")  # read_lines strips, so two fields are both nonempty
-            if len(fields) != 2:
-                raise FinkError(f"relation table line {line!r} is not ELEMENT<TAB>ELEMENT")
-            pairs.append(fields)
-        return EquivRelSpec.from_pairs(pairs, k, window)
-    if param is None:
-        return EquivRelSpec(kind)
-    _require_level(param, k)
-    return EquivRelSpec(kind, level=param)
+        return EquivRelSpec.from_pairs(read_table(param, "relation", "ELEMENT<TAB>ELEMENT"), k, window)
+    if param is not None:
+        _require_level(param, k)
+    return EquivRelSpec(kind, param)
 
 
 def _same_partition(r_keys: list, s_keys: list) -> bool:
@@ -261,7 +249,7 @@ def restriction_equals(R: EquivRelSpec, S: EquivRelSpec, B: BlockSeq, w: Window)
     """Do R and S agree on every pair from the span of B?"""
     for spec in (R, S):
         if spec.kind.endswith("_level"):
-            _require_level(spec.level, B.k)
+            _require_level(spec.param, B.k)
     span = span_enumerate(B, w)
     return _same_partition([R.key(x) for x in span], [S.key(x) for x in span])
 
@@ -274,7 +262,7 @@ def candidate_relations(k: int) -> list[tuple[str, EquivRelSpec]]:
     the full canonical list.
     """
     specs = [
-        EquivRelSpec(kind, level=i)
+        EquivRelSpec(kind, i)
         for kind in ("min_level", "max_level", "minmax_level")
         for i in range(1, k + 1)
     ] + [EquivRelSpec("equality"), EquivRelSpec("full")]
@@ -310,7 +298,7 @@ def canonicalize_search(
     """
     w.require_length(m)
     if R.kind.endswith("_level"):
-        _require_level(R.level, A.k)
+        _require_level(R.param, A.k)
     if R.window is not None and A.max_supp >= R.window.n_max:
         raise FinkError(f"ambient {A} has support past the relation's window n_max={R.window.n_max}")
     k = A.k

@@ -11,7 +11,7 @@ past the previous one.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     BlockSeq,
@@ -20,6 +20,7 @@ from .core import (
     Window,
     WindowExhausted,
     _Record,
+    check_rule,
     decompose,
     leq,
     span_enumerate,
@@ -76,32 +77,25 @@ def first_common_condensation(base, B: BlockSeq, L: int, w: Window) -> Optional[
     return None
 
 
+# the coideal kinds table (see core.check_rule); no kind is read from the command line
+_COIDEAL_KINDS = {"all": None, "top_of": (None, "a base"), "mu_over": (None, "a peak predicate")}
+
+
 class CoidealPresentation(_Record):
     """A finitely presented coideal of block sequences over a window.
 
     kind "all" is the trivial coideal; "top_of" closes a finite base family
-    upward and downward at once (membership = a common condensation with
-    some base sequence exists); "mu_over" tests the peak set against a
-    predicate on sets of integers.
+    (param, a tuple of block sequences) upward and downward at once
+    (membership = a common condensation with some base sequence exists);
+    "mu_over" tests the peak set against a predicate on sets of integers
+    (param).
     """
 
-    __slots__ = ("kind", "window", "base", "peak_pred")
+    __slots__ = ("kind", "window", "param")
 
-    def __init__(
-        self,
-        kind: str,
-        window: Window,
-        base: tuple[BlockSeq, ...] = (),
-        peak_pred: Optional[Callable[[set[int]], bool]] = None,
-    ) -> None:
-        _Record.__init__(self, kind, window, base, peak_pred)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("all", "top_of", "mu_over"):
-            raise FinkError(f"unknown coideal kind {self.kind!r}")
-        if self.kind == "mu_over" and self.peak_pred is None:
-            raise FinkError("coideal kind 'mu_over' needs a peak predicate")
+    def __init__(self, kind: str, window: Window, param=None) -> None:
+        _Record.__init__(self, kind, window, param)
+        check_rule("coideal", kind, param, _COIDEAL_KINDS)
 
     def contains(self, A: BlockSeq, L: int = 1) -> bool:
         """Does A belong, with a witness of length L for "top_of"?  L must lie
@@ -110,8 +104,8 @@ class CoidealPresentation(_Record):
         if self.kind == "all":
             return True
         if self.kind == "top_of":
-            return first_common_condensation(self.base, A, L, self.window) is not None
-        return self.peak_pred(mu(A))  # mu_over
+            return first_common_condensation(self.param, A, L, self.window) is not None
+        return self.param(mu(A))  # mu_over
 
 
 class RefineResult(_Record):

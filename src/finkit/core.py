@@ -657,7 +657,10 @@ def neighborhood(a: BlockSeq, A: BlockSeq, n: int, w: Window) -> list[BlockSeq]:
 
 
 def window_elements(w: Window) -> Iterator[FinkElement]:
-    """Every element supported inside [0, n_max), by lex order of value vectors."""
+    """Every element supported inside [0, n_max), by lex order of value
+    vectors.  They are the span of the window's generators, so a window past
+    the span bound is refused before the first is yielded."""
+    _admit_span_size(w.k, w.n_max)
     for vec in itertools.product(range(w.k + 1), repeat=w.n_max):
         if w.k in vec:
             yield FinkElement(w.k, tuple((i, v) for i, v in enumerate(vec) if v))
@@ -711,18 +714,20 @@ def parse_seq(text: str, k: int) -> BlockSeq:
 
 def parse_rule(rule: str, text: str, kinds: dict, unknown: str = "") -> tuple[str, object]:
     """Read a CLI rule: a bare kind such as size_mod, or kind:param such as
-    const:1 or table:FILE.  kinds maps each kind to its parameter: None for
-    none, int for an integer, str for a file path as written.  Returns (kind,
-    param), param None for a bare kind.  rule names the rule in the errors,
-    unknown (default: rule) in the one for a kind outside kinds."""
+    const:1 or table:FILE.  kinds is the rule family's kinds table (see
+    check_rule); a kind whose param only code can give is not read.  Returns
+    (kind, param): param None for a bare kind, an int, or a file path as
+    written.  rule names the rule in the errors, unknown (default: rule) in
+    the one for a kind the command line does not offer."""
     kind, colon, param = text.partition(":")
-    if kind not in kinds:
+    need = kinds.get(kind, (None,))  # an unknown kind reads as one only code gives
+    if need is not None and need[0] is None:
         raise FinkError(f"unknown {unknown or rule} {text!r}")
-    if kinds[kind] is None:
+    if need is None:
         if colon:
             raise FinkError(f"{rule} {kind!r} takes no parameter, got {text!r}")
         return kind, None
-    if kinds[kind] is str:
+    if need[0] is str:
         return kind, param
     try:
         return kind, int(param)
@@ -730,8 +735,39 @@ def parse_rule(rule: str, text: str, kinds: dict, unknown: str = "") -> tuple[st
         raise FinkError(f"{rule} {kind!r} needs an integer parameter, got {text!r}") from None
 
 
+def check_rule(rule: str, kind: str, param, kinds: dict) -> None:
+    """The one kind and param check of the rule specs.  kinds is the rule
+    family's kinds table, which parse_rule reads too: per kind, None for a
+    bare kind, else (how parse_rule reads its param from the command line:
+    int, str for a file path, None where only code can give it; what the
+    spec's param holds, as the refusal names it).  Refuses an unknown kind, a
+    parameter kind with param None and a bare kind with any other param."""
+    if kind not in kinds:
+        raise FinkError(f"unknown {rule} kind {kind!r}")
+    if kinds[kind] is None:
+        if param is not None:
+            raise FinkError(f"{rule} kind {kind!r} takes no parameter, got {param!r}")
+    elif param is None:
+        raise FinkError(f"{rule} kind {kind!r} needs {kinds[kind][1]}")
+
+
 def read_lines(path: str) -> list[str]:
     """The stripped lines of a text file, skipping blank and '#' comment lines."""
     with open(path, encoding="utf-8") as fh:
         return [line for line in map(str.strip, fh) if line and not line.startswith("#")]
 
+
+def read_table(path: str, rule: str, form: str, value: Callable = str) -> list[tuple[str, object]]:
+    """The lines of a rule's table file, as read_lines gives them, each split
+    at its one TAB into a field and value(the second field).  A line of any
+    other shape, or whose value raises ValueError, is refused as not form."""
+    pairs = []
+    for line in read_lines(path):
+        fields = line.split("\t")  # the lines are stripped, so both fields are nonempty
+        try:
+            if len(fields) != 2:
+                raise ValueError
+            pairs.append((fields[0], value(fields[1])))
+        except ValueError:
+            raise FinkError(f"{rule} table line {line!r} is not {form}") from None
+    return pairs

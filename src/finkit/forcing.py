@@ -20,6 +20,7 @@ from .core import (
     IncompatibleStem,
     Window,
     _Record,
+    check_rule,
     condensations,
     decompose,
     extension_tree,
@@ -32,9 +33,9 @@ from .core import (
 )
 
 
-# per family kind, its parameter as parse_rule reads it
+# the family kinds table (see core.check_rule)
 _FAMILY_KINDS = {"empty": None, "all_singletons": None, "min_even_first": None,
-                 "support_ge": int, "explicit": str}
+                 "support_ge": (int, "an integer parameter"), "explicit": (str, "its members")}
 
 
 class FamilySpec(_Record):
@@ -43,20 +44,14 @@ class FamilySpec(_Record):
     ``all_singletons`` (every length-1 sequence), ``min_even_first``
     (nonempty, first element starts at an even position), ``support_ge:s``
     (nonempty, every element has support size at least s), ``explicit`` (a
-    finite list given by canonical strings).
+    finite list, param the frozenset of its canonical strings).
     """
 
-    __slots__ = ("kind", "s", "members")
+    __slots__ = ("kind", "param")
 
-    def __init__(self, kind: str, s: Optional[int] = None, members: frozenset[str] = frozenset()) -> None:
-        _Record.__init__(self, kind, s, members)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.kind not in _FAMILY_KINDS:
-            raise FinkError(f"unknown family kind {self.kind!r}")
-        if _FAMILY_KINDS[self.kind] is int and self.s is None:
-            raise FinkError(f"family kind {self.kind!r} needs an integer parameter")
+    def __init__(self, kind: str, param=None) -> None:
+        _Record.__init__(self, kind, param)
+        check_rule("family", kind, param, _FAMILY_KINDS)
 
     def contains(self, b: BlockSeq) -> bool:
         elems = getattr(b, "elems", b)
@@ -67,12 +62,12 @@ class FamilySpec(_Record):
         if self.kind == "min_even_first":
             return len(elems) >= 1 and elems[0].min_supp % 2 == 0
         if self.kind == "support_ge":
-            return len(elems) >= 1 and all(len(x.values) >= self.s for x in elems)
-        return ";".join(map(format_element, elems)) in self.members  # explicit
+            return len(elems) >= 1 and all(len(x.values) >= self.param for x in elems)
+        return ";".join(map(format_element, elems)) in self.param  # explicit
 
     @staticmethod
     def explicit(seqs) -> "FamilySpec":
-        return FamilySpec("explicit", members=frozenset(format_seq(b) for b in seqs))
+        return FamilySpec("explicit", frozenset(format_seq(b) for b in seqs))
 
 
 def parse_family(text: str, k: int) -> FamilySpec:
@@ -81,7 +76,7 @@ def parse_family(text: str, k: int) -> FamilySpec:
     kind, param = parse_rule("family", text, _FAMILY_KINDS)
     if kind == "explicit":
         return FamilySpec.explicit(parse_seq(line, k) for line in read_lines(param))
-    return FamilySpec(kind, s=param)
+    return FamilySpec(kind, param)
 
 
 class AcceptsResult(_Record):

@@ -18,10 +18,11 @@ from .core import (
     Window,
     _composed_seq,
     _Record,
+    check_rule,
     condensations,
     format_element,
     parse_rule,
-    read_lines,
+    read_table,
     sequences_over,
     span_enumerate,
     window_elements,
@@ -40,44 +41,30 @@ def _value_at(obj: Colorable, pos: int) -> int:
     return 0
 
 
-# per coloring kind the CLI reads, its parameter as parse_rule reads it
-_COLORING_KINDS = {"const": int, "min_mod": None, "max_mod": None, "size_mod": None,
-                   "value_at": int, "table": str}
+# the coloring kinds table (see core.check_rule)
+_INT = (int, "an integer parameter")
+_COLORING_KINDS = {"const": _INT, "min_mod": None, "max_mod": None, "size_mod": None,
+                   "value_at": _INT, "table": (str, "a table"), "func": (None, "a function")}
 
 
 class ColoringSpec(_Record):
     """A total coloring with r colors of elements (arity 1) or length-n sequences.
 
-    The rule is either a built-in tag, an explicit lookup table keyed by
-    canonical strings, or an arbitrary callable.  Built-ins read the support
-    of the colored object (for a sequence, the union of its elements'
-    supports): ``const:c``, ``min_mod``, ``max_mod``, ``size_mod``,
-    ``value_at:p``.
+    The rule is a built-in kind, an explicit lookup table keyed by canonical
+    strings (kind ``table``, param the dict), or an arbitrary callable (kind
+    ``func``, param the function).  Built-ins read the support of the
+    colored object (for a sequence, the union of its elements' supports):
+    ``const:c``, ``min_mod``, ``max_mod``, ``size_mod``, ``value_at:p``.
     """
 
-    __slots__ = ("arity", "r", "kind", "param", "table", "func")
+    __slots__ = ("arity", "r", "kind", "param")
 
-    def __init__(
-        self,
-        arity: int,
-        r: int,
-        kind: str,  # const | min_mod | max_mod | size_mod | value_at | table | func
-        param: Optional[int] = None,
-        table: Optional[dict[str, int]] = None,
-        func: Optional[Callable[[Colorable], int]] = None,
-    ) -> None:
-        _Record.__init__(self, arity, r, kind, param, table, func)
+    def __init__(self, arity: int, r: int, kind: str, param=None) -> None:
+        _Record.__init__(self, arity, r, kind, param)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.kind not in _COLORING_KINDS and self.kind != "func":
-            raise FinkError(f"unknown coloring kind {self.kind!r}")
-        if _COLORING_KINDS.get(self.kind) is int and self.param is None:
-            raise FinkError(f"coloring kind {self.kind!r} needs an integer parameter")
-        if self.kind == "table" and self.table is None:
-            raise FinkError("coloring kind 'table' needs a table")
-        if self.kind == "func" and self.func is None:
-            raise FinkError("coloring kind 'func' needs a function")
+        check_rule("coloring", self.kind, self.param, _COLORING_KINDS)
         if self.arity < 1:
             raise FinkError(f"coloring arity must be >= 1, got {self.arity}")
         if self.r < 2:
@@ -86,9 +73,10 @@ class ColoringSpec(_Record):
             raise FinkError(f"constant color {self.param} outside 0..{self.r - 1}")
         if self.kind == "value_at" and self.param < 0:
             raise FinkError(f"value_at position {self.param} is negative")
-        for key, c in (self.table or {}).items():
-            if not 0 <= c < self.r:
-                raise FinkError(f"color {c} for {key!r} outside 0..{self.r - 1}")
+        if self.kind == "table":
+            for key, c in self.param.items():
+                if not 0 <= c < self.r:
+                    raise FinkError(f"color {c} for {key!r} outside 0..{self.r - 1}")
 
     def color(self, obj: Colorable) -> int:
         if self.kind == "const":
@@ -106,10 +94,10 @@ class ColoringSpec(_Record):
             return _value_at(obj, self.param) % self.r
         if self.kind == "table":
             key = str(obj)
-            if key not in self.table:
+            if key not in self.param:
                 raise FinkError(f"coloring table has no entry for {key!r}")
-            return self.table[key]
-        return self.func(obj)
+            return self.param[key]
+        return self.param(obj)
 
     def check_total(self, w: Window) -> None:
         """Reject table colorings that miss part of the window's domain.  The
@@ -125,35 +113,28 @@ class ColoringSpec(_Record):
             domain = sequences_over(span, BlockSeq(w.k, ()), self.arity)
         for obj in domain:
             key = str(obj)
-            if key not in self.table:
+            if key not in self.param:
                 raise FinkError(f"coloring not total on window: missing {key!r}")
 
     @staticmethod
     def constant(c: int, r: int, arity: int = 1) -> "ColoringSpec":
-        return ColoringSpec(arity, r, "const", param=c)
+        return ColoringSpec(arity, r, "const", c)
 
     @staticmethod
     def from_table(table: dict[str, int], r: int, arity: int = 1) -> "ColoringSpec":
-        return ColoringSpec(arity, r, "table", table=dict(table))
+        return ColoringSpec(arity, r, "table", dict(table))
 
     @staticmethod
     def from_function(fn: Callable[[Colorable], int], r: int, arity: int = 1) -> "ColoringSpec":
-        return ColoringSpec(arity, r, "func", func=fn)
+        return ColoringSpec(arity, r, "func", fn)
 
 
 def parse_coloring(text: str, r: int, arity: int = 1) -> ColoringSpec:
     """Parse the CLI syntax: const:0, min_mod, max_mod, size_mod, value_at:3, table:FILE."""
     kind, param = parse_rule("coloring", text, _COLORING_KINDS, unknown="coloring rule")
     if kind == "table":
-        table = {}
-        for line in read_lines(param):
-            key, _, color = line.partition("\t")
-            try:
-                table[key] = int(color)
-            except ValueError:
-                raise FinkError(f"coloring table line {line!r} is not KEY<TAB>COLOR") from None
-        return ColoringSpec.from_table(table, r, arity)
-    return ColoringSpec(arity, r, kind, param=param)
+        param = dict(read_table(param, "coloring", "KEY<TAB>COLOR", int))
+    return ColoringSpec(arity, r, kind, param)
 
 
 class SearchReport(_Record):

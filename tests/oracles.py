@@ -350,20 +350,20 @@ RECORD_TWINS = {twin.__name__: twin for twin in (
     _twin("BlockSeq", "k", "elems"),
     _twin("Window", "k", "n_max", "len_max"),
     _twin("Decomposition", "parts"),
-    _twin("ColoringSpec", "arity", "r", "kind", ("param", None), ("table", None), ("func", None)),
+    _twin("ColoringSpec", "arity", "r", "kind", ("param", None)),
     _twin("SearchReport", "found", "witness", "color", "nodes_explored"),
     _twin("VerifyReport", "holds", "colorings_checked", "failing_coloring"),
     _twin("LevelStats", "k", "mins", "maxs"),
     _twin("SosResult", "ok", "violated"),
-    _twin("EquivRelSpec", "kind", ("level", 0), ("classes", None), ("window", None)),
+    _twin("EquivRelSpec", "kind", ("param", None), ("window", None)),
     _twin("CanonicalizationResult", "relation", "spec", "witness", "caveat"),
-    _twin("FamilySpec", "kind", ("s", None), ("members", frozenset())),
+    _twin("FamilySpec", "kind", ("param", None)),
     _twin("AcceptsResult", "holds", "branch"),
     _twin("RejectsResult", "holds", "condensation"),
     _twin("ForcingVerdict", "status", ("branch", None), ("condensation", None)),
     _twin("DichotomyResult", "alternative", "witness"),
     _twin("OpenSetResult", "side", "witness"),
-    _twin("CoidealPresentation", "kind", "window", ("base", ()), ("peak_pred", None)),
+    _twin("CoidealPresentation", "kind", "window", ("param", None)),
     _twin("RefineResult", "side", "witness"),
     _twin("DiagonalizationReport", "ok", "violator"),
     _twin("NetFunction", "k", "delta", "exponents"),

@@ -190,7 +190,7 @@ def _family_corpus():
         FamilySpec("empty"),
         FamilySpec("all_singletons"),
         FamilySpec("min_even_first"),
-        FamilySpec("support_ge", s=2),
+        FamilySpec("support_ge", 2),
     ]
     for _ in range(16):
         fams.append(FamilySpec.explicit(rng.sample(pool, rng.randint(1, 8))))

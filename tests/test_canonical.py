@@ -118,7 +118,7 @@ def test_unknown_relation_kind_is_refused_when_built():
         EquivRelSpec("bogus")
     # a table relation needs its classes when built; an empty table is equality
     names = [
-        EquivRelSpec(kind, level=2, classes={} if kind == "table" else None).name(2)
+        EquivRelSpec(kind, {"equality": None, "min_level": 2, "table": {}}[kind]).name(2)
         for kind in ("equality", "min_level", "table")
     ]
     assert names == ["=", "min_2", "table"]
@@ -127,8 +127,10 @@ def test_unknown_relation_kind_is_refused_when_built():
 def test_a_level_or_table_relation_needs_its_parameter_when_built():
     # the default level 0 made every key None, so min_level acted as FIN^2
     for kind in ("min_level", "max_level", "minmax_level"):
-        with pytest.raises(FinkError, match=f"^relation kind '{kind}' needs a level >= 1, got 0$"):
+        with pytest.raises(FinkError, match=f"^relation kind '{kind}' needs a level$"):
             EquivRelSpec(kind)
+        with pytest.raises(FinkError, match=f"^relation kind '{kind}' needs a level >= 1, got 0$"):
+            EquivRelSpec(kind, 0)
     # a table relation with no classes raised AttributeError on its first key
     with pytest.raises(FinkError, match="^relation kind 'table' needs its classes$"):
         EquivRelSpec("table")
@@ -140,7 +142,7 @@ def test_a_level_past_the_sequence_is_refused_before_any_span(monkeypatch):
         raise AssertionError("span built")
 
     monkeypatch.setattr(canonical, "span_enumerate", no_span)
-    R = EquivRelSpec("min_level", level=3)
+    R = EquivRelSpec("min_level", 3)
     with pytest.raises(FinkError, match=r"^level 3 outside 1\.\.1$"):
         canonicalize_search(R, generators(1, 4), 2, Window(1, 4, 4))
     for pair in ((R, EquivRelSpec("full")), (EquivRelSpec("full"), R)):
@@ -154,7 +156,7 @@ def test_a_level_past_the_sequence_is_refused_before_any_span(monkeypatch):
 def test_relation_examples():
     assert EquivRelSpec("full").holds(elem("0:1", 1), elem("3:1", 1))
     assert not EquivRelSpec("equality").holds(elem("0:1", 1), elem("3:1", 1))
-    R = EquivRelSpec("min_level", level=1)
+    R = EquivRelSpec("min_level", 1)
     assert R.holds(elem("0:1,3:1", 1), elem("0:1,5:1", 1))
 
 
@@ -183,7 +185,7 @@ def test_builtin_keys_match_the_definitions(k, data):
     elements = st.sampled_from(list(window_elements(w)))
     a, b = data.draw(elements), data.draw(elements)
     for R in builtin_relations(k):
-        assert R.holds(a, b) == relation_by_definition(R.kind, R.level, a, b)
+        assert R.holds(a, b) == relation_by_definition(R.kind, R.param, a, b)
 
 
 def test_table_relation_closure_and_fallback():
@@ -253,8 +255,8 @@ def test_restriction_equals_with_an_absent_level():
     # them None and puts them in one class
     w = Window(2, 3, 3)
     B = parse_seq("0:2;2:2", 2)
-    min1 = EquivRelSpec("min_level", level=1)
-    minmax1 = EquivRelSpec("minmax_level", level=1)
+    min1 = EquivRelSpec("min_level", 1)
+    minmax1 = EquivRelSpec("minmax_level", 1)
     assert [min1.key(x) for x in span_enumerate(B, w)] == [None, None, 2, 0, None]
     assert restriction_equals(min1, minmax1, B, w)
     assert not restriction_equals(min1, EquivRelSpec("equality"), B, w)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finkit import FinkElement, cli, core, parse_element, t_count
 from finkit.cli import TK_MAX_K, _cmd_tk, render_text, run
@@ -401,7 +403,8 @@ def gowers_with_table(tmp_path, text):
 
 
 def test_coloring_table_line_needs_a_tab_and_an_integer_color(tmp_path):
-    for line in ("0:1 1", "0:1\tred", "0:1"):
+    # a doubled TAB was read as one, int() skipping the second as whitespace
+    for line in ("0:1 1", "0:1\tred", "0:1", "0:1\t\t1", "0:1\t1\t1"):
         code, out, err = gowers_with_table(tmp_path, f"1:1\t0\n{line}\n0:1,1:1\t0\n")
         assert code == 2 and out == ""
         assert err == f"error: coloring table line {line!r} is not KEY<TAB>COLOR\n"
@@ -409,7 +412,8 @@ def test_coloring_table_line_needs_a_tab_and_an_integer_color(tmp_path):
 
 def test_relation_table_line_needs_exactly_one_tab(tmp_path):
     # (file line, the line as reported: read_lines strips the trailing tab)
-    for line, shown in (("0:1", "0:1"), ("0:1\t", "0:1"), ("1:1\t2:1\t0:1", "1:1\t2:1\t0:1")):
+    for line, shown in (("0:1", "0:1"), ("0:1\t", "0:1"), ("1:1\t2:1\t0:1", "1:1\t2:1\t0:1"),
+                        ("0:1\t\t1:1", "0:1\t\t1:1")):
         table = tmp_path / "relation.txt"
         table.write_text(f"0:1\t1:1\n{line}\n")
         argv = ["classify", "--k", "1", "--nmax", "4", "--relation", f"table:{table}", "--m", "2"]
@@ -527,6 +531,7 @@ SEQ21 = ";".join(f"{i}:1" for i in range(21))
 @pytest.mark.parametrize("argv", [
     ["gowers", "--k", "1", "--nmax", "21", "--coloring", "const:0", "--m", "1"],
     ["gowers", "--k", "2", "--nmax", "13", "--coloring", "const:0", "--m", "1"],
+    ["gowers", "--k", "1", "--nmax", "1000000", "--coloring", "table:{empty}", "--m", "1", "0:1"],
     ["ramsey2", "--k", "1", "--nmax", "21", "--coloring", "size_mod", "--n", "2", "--m", "3"],
     ["ramsey2", "--k", "1", "--nmax", "21", "--coloring", "table:{pairs}", "--n", "2", "--m", "3"],
     ["galvin", "--k", "1", "--nmax", "21", "--family", "empty", "--m", "2"],
@@ -534,12 +539,14 @@ SEQ21 = ";".join(f"{i}:1" for i in range(21))
     ["forcing", "--k", "1", "--nmax", "21", "--family", "empty", SEQ21],
     ["top-member", "--k", "1", "--nmax", "21", "--family", "{family}", "--len", "2", SEQ21],
     ["diagonal", "--k", "1", "--nmax", "21", "--chain", "{chain}"],
-], ids=["gowers", "gowers-k2", "ramsey2", "ramsey2-table", "galvin", "classify", "forcing",
+], ids=["gowers", "gowers-k2", "gowers-table", "ramsey2", "ramsey2-table", "galvin", "classify", "forcing",
         "top-member", "diagonal"])
 def test_every_command_refuses_a_span_over_the_bound_at_once(tmp_path, argv):
     # the one span bound of core: gowers --nmax 21 took seconds and half a
-    # GiB for one node before every command shared span's check
-    files = {"pairs": "0:1;1:1\t0\n", "family": "0:1;1:1\n", "chain": SEQ21 + "\n"}
+    # GiB for one node before every command shared span's check; an element
+    # table's totality check walked the window's elements until the first
+    # missing key, 50 ms per table line at nmax = 10^6
+    files = {"pairs": "0:1;1:1\t0\n", "family": "0:1;1:1\n", "chain": SEQ21 + "\n", "empty": ""}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [arg.format(**{name: tmp_path / name for name in files}) for arg in argv]
@@ -1015,3 +1022,135 @@ def test_a_query_leaves_no_cyclic_garbage(tmp_path, monkeypatch):
         assert gc.collect() == 0
     finally:
         _set_collector(was)
+
+
+# -- the grammar fuzzer ---------------------------------------------------------
+# Command lines drawn from the command table itself: each option of each
+# command gets a value by its argparse declaration (an int, a choice, a flag)
+# or, for a text option, by its dest, so a new option is fuzzed as soon as
+# it is declared.  Bounds: k in 0..3; nmax in 1..8 at k <= 1, 1..6 at k = 2
+# and 1..5 at k = 3, where the slowest line, forcing --family empty over the
+# window's generators, takes 0.1-0.2 s (0.9 s at k = 2, nmax 7, and 0.7 s
+# at k = 3, nmax 6); every other int in -1..4; budgets up to 2^20.
+
+_FUZZ_NMAX = {0: 8, 1: 8, 2: 6, 3: 5}
+_FUZZ_FILES = {
+    "coloring.tsv": "".join(f"{','.join(f'{p}:1' for p in range(8) if mask >> p & 1)}\t{mask % 2}\n"
+                            for mask in range(1, 2**4)),
+    "family.txt": "0:1\n0:1;1:1\n1:1,2:1\n",
+    "relation.tsv": "0:1\t1:1\n1:1,2:1\t2:1\n0:1\n",
+    "chain.txt": "0:1;1:1;2:1;3:1\n1:1;2:1;3:1\n",
+    "chain2.txt": "0:2;1:1,2:2;3:2\n1:1,2:2;3:2\n",
+}
+_FUZZ_TEXTS = {
+    "coloring": ["const:0", "const:1", "const:5", "const", "min_mod", "max_mod", "size_mod",
+                 "size_mod:1", "value_at:1", "value_at:-1", "table:coloring.tsv",
+                 "table:relation.tsv", "table:missing.tsv", "func", "wat"],
+    "family": ["empty", "all_singletons", "min_even_first", "support_ge:2", "support_ge",
+               "explicit:family.txt", "explicit:missing.txt", "family.txt", "empty:1", "wat"],
+    "relation": ["equality", "full", "size_parity", "min_level:1", "max_level:2",
+                 "minmax_level:1", "min_level:0", "min_level", "table:relation.tsv",
+                 "table:family.txt", "equality:1", "wat"],
+    "chain": ["chain.txt", "chain2.txt", "family.txt", "missing.txt"],
+    "top-member family": ["family.txt", "chain.txt", "missing.txt", "empty"],
+    "delta": ["1/2", "1/3", "3/4", "1", "0", "-1", "1e-3", "1/0", "x"],
+    "epsilon": ["1", "3/4", "1/200", "0", "-1", "1e-3", "1/0", "x"],
+    "netfn": ["0:0,2:1", "0:1", "1:0", "0:0,1:1,3:0", "0:2", "x", ""],
+}
+
+
+@st.composite
+def _fuzz_seq(draw, k, nmax, blocks=True):
+    """A sequence text (one element unless blocks): a value in 0..k per
+    position up to one past the window, cut into blocks before the marked
+    positions.  Each block's largest value is raised to k unless the draw
+    spoils it; a block that misses k, or a stray position, is an input error."""
+    cells = draw(st.lists(st.tuples(st.sampled_from(range(k + 1)), st.booleans()), max_size=nmax + 1))
+    spoil = draw(st.sampled_from((False,) * 4 + (True,)))
+    parts: list = [[]]
+    for pos, (value, cut) in enumerate(cells):
+        if cut and blocks and parts[-1]:
+            parts.append([])
+        if value:
+            parts[-1].append([pos, value])
+    for part in parts:
+        if part and not spoil:
+            max(part, key=lambda pair: pair[1])[1] = k
+    return ";".join(",".join(f"{p}:{v}" for p, v in part) for part in parts if part)
+
+
+@st.composite
+def _command_line(draw, name):
+    k = draw(st.sampled_from((1, 2, 1, 3, 2, 1, 0)))
+    nmax = draw(st.sampled_from(range(1, _FUZZ_NMAX[k] + 1)))
+    argv = [name]
+    for flags, kwargs in cli._COMMANDS[name].args:
+        flag = flags[0]
+        positional = not flag.startswith("-")
+        required = kwargs.get("required", positional and kwargs.get("nargs") != "?")
+        # a required option is left out now and then, for argparse's refusal
+        if not draw(st.sampled_from((True,) * 19 + (False,)) if required else st.booleans()):
+            continue
+        dest = kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
+        if kwargs.get("action") == "store_true":
+            argv.append(flag)
+            continue
+        if "choices" in kwargs:
+            value = draw(st.sampled_from([*kwargs["choices"], "wat"]))
+        elif kwargs.get("type") is int:
+            value = str({"k": k, "nmax": nmax}.get(dest, draw(
+                st.integers(1, 2**20) if dest == "budget" else st.sampled_from((1, 2, 3, 4, 2, 0, -1)))))
+        elif dest in ("seq", "stem"):
+            value = draw(_fuzz_seq(max(k, 1), nmax))
+        elif dest == "element":
+            value = draw(_fuzz_seq(max(k, 1), nmax, blocks=False))
+        else:
+            texts = _FUZZ_TEXTS.get(f"{name} {dest}", _FUZZ_TEXTS.get(dest))
+            value = draw(st.text("0123456789:,;-x", max_size=8) if texts is None else st.sampled_from(texts))
+        argv += [value] if positional else [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for name, text in _FUZZ_FILES.items():
+        (path / name).write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_cli_grammar_holds_on_drawn_command_lines(fuzz_files, name, data):
+    argv = data.draw(_command_line(name))
+    cwd = os.getcwd()
+    os.chdir(fuzz_files)
+    try:
+        text = invoke([arg for arg in argv if arg != "--json"])
+        as_json = invoke([arg for arg in argv if arg != "--json"] + ["--json"])
+    finally:
+        os.chdir(cwd)
+    for code, out, err in (text, as_json):
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            assert out == "", argv
+            assert re.fullmatch(r"error: [^\n]*\n", err) or (
+                err.startswith("usage: finkit") and re.search(r"\nfinkit[^\n]*: error: [^\n]*\n\Z", err)), argv
+        else:
+            assert err == "", argv
+    # both modes reach the same outcome and carry the same fields: one
+    # "key = JSON value" line each, unless the command lays out its own text
+    assert text[0] == as_json[0] and text[2] == as_json[2], argv
+    if text[0] == 2:
+        return
+    report = json.loads(as_json[1])
+    assert report.pop("command") == name, argv
+    lines = text[1].splitlines()
+    if "window" in report:
+        assert lines.pop(0) == "# window k={k} n_max={n_max} len_max={len_max}".format(**report.pop("window"))
+    if cli._COMMANDS[name].text is None:
+        assert lines == [f"{key} = {json.dumps(value)}" for key, value in report.items()], argv
+    else:
+        assert lines == cli._COMMANDS[name].text(report), argv

@@ -132,7 +132,7 @@ def test_trivial_and_mu_coideals():
     w = Window(1, 6, 6)
     assert CoidealPresentation("all", w).contains(generators(1, 6))
     evens_only = CoidealPresentation(
-        "mu_over", w, peak_pred=lambda s: all(n % 2 == 0 for n in s)
+        "mu_over", w, lambda s: all(n % 2 == 0 for n in s)
     )
     assert evens_only.contains(seq("0:1;2:1", 1))
     assert not evens_only.contains(seq("0:1;3:1", 1))
@@ -143,7 +143,7 @@ def test_top_closure_upward_closed():
     w = Window(1, 6, 6)
     B = generators(1, 6)
     base = BlockSeq(1, tuple(B.elems[i] for i in (0, 2, 4)))
-    coideal = CoidealPresentation("top_of", w, base=(base,))
+    coideal = CoidealPresentation("top_of", w, (base,))
     for A in initial_segments(B, 2, w):
         if coideal.contains(A, L=1):
             assert coideal.contains(B, L=1)
@@ -158,8 +158,8 @@ def test_top_of_uses_the_first_base_with_a_common_condensation():
     assert got is not None and got == common_condensation(base[1], B, 2, w)
     assert first_common_condensation((short,), B, 2, w) is None
     assert first_common_condensation((), B, 2, w) is None
-    assert CoidealPresentation("top_of", w, base=base).contains(B, L=2)
-    assert not CoidealPresentation("top_of", w, base=(short,)).contains(B, L=2)
+    assert CoidealPresentation("top_of", w, base).contains(B, L=2)
+    assert not CoidealPresentation("top_of", w, (short,)).contains(B, L=2)
 
 
 def test_membership_refuses_a_length_outside_the_window():
@@ -169,9 +169,9 @@ def test_membership_refuses_a_length_outside_the_window():
     B = generators(1, 4)
     presentations = [
         CoidealPresentation("all", w),
-        CoidealPresentation("mu_over", w, peak_pred=lambda s: True),
-        CoidealPresentation("top_of", w, base=(B,)),
-        CoidealPresentation("top_of", w),
+        CoidealPresentation("mu_over", w, lambda s: True),
+        CoidealPresentation("top_of", w, (B,)),
+        CoidealPresentation("top_of", w, ()),
     ]
     for L in (-1, 0, w.len_max + 1):
         for base in ((), (B,)):

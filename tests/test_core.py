@@ -435,7 +435,7 @@ def test_tetris_keeps_peaks(A, data):
 
 
 def test_parse_rule_reads_each_form_of_the_grammar():
-    kinds = {"bare": None, "num": int, "file": str}
+    kinds = {"bare": None, "num": (int, "a number"), "file": (str, "a file"), "code": (None, "code")}
     assert parse_rule("rule", "bare", kinds) == ("bare", None)
     assert parse_rule("rule", "num:-3", kinds) == ("num", -3)
     assert parse_rule("rule", "file:a:b.txt", kinds) == ("file", "a:b.txt")
@@ -445,6 +445,7 @@ def test_parse_rule_reads_each_form_of_the_grammar():
         ("num", "rule 'num' needs an integer parameter, got 'num'"),
         ("num:x", "rule 'num' needs an integer parameter, got 'num:x'"),
         ("wat:1", "unknown rule 'wat:1'"),
+        ("code", "unknown rule 'code'"),
     ):
         with pytest.raises(FinkError) as exc:
             parse_rule("rule", text, kinds)

@@ -51,7 +51,7 @@ EMPTY = BlockSeq(1, ())
 F_EMPTY = FamilySpec("empty")
 F_SING = FamilySpec("all_singletons")
 F_EVEN = FamilySpec("min_even_first")
-F_GE2 = FamilySpec("support_ge", s=2)
+F_GE2 = FamilySpec("support_ge", 2)
 
 
 def family_on_raw(F, raws, k=1):
@@ -80,7 +80,7 @@ def test_contains_decides_a_sequence_and_its_element_tuple_alike(b, s, data):
     other = data.draw(block_seqs(max_k=b.k, max_blocks=3).filter(lambda x: x.k == b.k))
     listed = [b.prefix(t) for t in range(len(b) + 1) if data.draw(st.booleans())]
     families = [FamilySpec(kind) for kind in ("empty", "all_singletons", "min_even_first")]
-    families += [FamilySpec("support_ge", s=s), FamilySpec.explicit(listed + [other])]
+    families += [FamilySpec("support_ge", s), FamilySpec.explicit(listed + [other])]
     for F in families:
         for t in range(len(b) + 1):
             assert F.contains(b.prefix(t)) == F.contains(b.elems[:t])
@@ -391,7 +391,7 @@ def test_open_set_examples():
     assert res.side == "inside"
     assert format_seq(res.witness) == "0:1;2:1;4:1"
     # no length-3 B over the 8 generators settles support_ge:3 either way
-    assert open_set_ramsey(FamilySpec("support_ge", s=3), A, 3, w) == OpenSetResult(None, None)
+    assert open_set_ramsey(FamilySpec("support_ge", 3), A, 3, w) == OpenSetResult(None, None)
 
 
 def test_threads_agree():

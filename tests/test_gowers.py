@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import time
 
 import pytest
@@ -166,7 +167,7 @@ def test_table_colors_are_checked_when_the_table_is_built():
     for table, arity in (({"0:1": 0, "9:1": 2}, 1), ({"0:1": -1}, 1), ({"0:1;1:1": 2}, 2)):
         with pytest.raises(FinkError, match=r"color -?\d for '[0-9:;]+' outside 0\.\.1"):
             ColoringSpec.from_table(table, 2, arity)
-    assert ColoringSpec.from_table({"0:1": 0, "9:1": 2}, 3).table["9:1"] == 2
+    assert ColoringSpec.from_table({"0:1": 0, "9:1": 2}, 3).param["9:1"] == 2
 
 
 def test_table_totality_stops_at_the_first_missing_sequence(monkeypatch):
@@ -199,13 +200,36 @@ def test_table_totality_refuses_a_window_span_over_the_bound_before_building_it(
     assert built == []
 
 
+def test_an_element_table_refuses_a_window_past_the_bound_before_building_an_element(monkeypatch, tmp_path):
+    # the window's elements were listed one by one up to the first missing
+    # key: 1.4 s for a table of the window's first 20 at nmax = 10^6, 5.0 s
+    # for its first 100, which lie on its last 7 positions
+    last = [x.values for x in itertools.islice(window_elements(Window(1, 7, 1)), 100)]
+    path = tmp_path / "first.tsv"
+    path.write_text("".join(",".join(f"{p + 10**6 - 7}:{v}" for p, v in x) + "\t0\n" for x in last))
+    f = parse_coloring(f"table:{path}", 2)
+    # an admitted window is still walked in value-vector order up to its first missing key
+    with pytest.raises(FinkError, match=r"^coloring not total on window: missing '7:1'$"):
+        f.check_total(Window(1, 8, 1))
+    built = []
+    monkeypatch.setattr(FinkElement, "__post_init__", built.append)
+    start = time.perf_counter()
+    message = r"^the span of 1000000 blocks at k=1 has more than 1048576 elements$"
+    with pytest.raises(FinkError, match=message):
+        f.check_total(Window(1, 10**6, 1))
+    with pytest.raises(FinkError, match=message):
+        next(window_elements(Window(1, 10**6, 1)))
+    assert time.perf_counter() - start < 1.0
+    assert built == []
+
+
 def test_parse_coloring_forms(tmp_path):
     assert parse_coloring("const:1", 2).color(parse_seq("0:1", 1).elems[0]) == 1
     assert parse_coloring("value_at:3", 2).kind == "value_at"
     path = tmp_path / "table.tsv"
     path.write_text("0:1\t1\n# comment\n1:1\t0\n")
     f = parse_coloring(f"table:{path}", 2)
-    assert f.table == {"0:1": 1, "1:1": 0}
+    assert f.param == {"0:1": 1, "1:1": 0}
     with pytest.raises(FinkError):
         parse_coloring("wat", 2)
 

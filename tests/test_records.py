@@ -19,12 +19,8 @@ from finkit.core import FinkError
 from oracles import RECORD_TWINS
 
 
-def color(obj) -> int:
-    # module level, so that a spec holding it pickles
-    return 0
-
-
 def any_peak(peaks) -> bool:
+    # module level, so that a spec holding it pickles
     return bool(peaks)
 
 
@@ -39,23 +35,23 @@ CASES = {
     "BlockSeq": ((1, (E1,)), (1, ())),
     "Window": ((1, 4, 3), (2, 4, 3)),
     "Decomposition": ((((0, 0), (2, 1)),), ((),)),
-    "ColoringSpec": ((1, 2, "size_mod", None, None, None), (2, 3, "func", 1, {"0:1": 2}, color)),
+    "ColoringSpec": ((1, 2, "size_mod", None), (2, 3, "table", {"0:1": 2})),
     "SearchReport": ((True, S1, 0, 3), (False, None, None, 7)),
     "VerifyReport": ((True, 8, None), (False, 3, {"0:1": 1})),
     "LevelStats": ((2, (0, 1), (2, 1)), (2, (None, 0), (None, 0))),
     "SosResult": ((True, None), (False, "climb:1")),
-    "EquivRelSpec": (("full", 0, None, None), ("table", 0, {"0:1": "1:1", "1:1": "1:1"}, W)),
+    "EquivRelSpec": (("full", None, None), ("table", {"0:1": "1:1", "1:1": "1:1"}, W)),
     "CanonicalizationResult": (
         ("min", EquivRelSpec("min_level", 1), S1, None),
         ("max_2", EquivRelSpec("max_level", 2), BlockSeq(2, ()), "caveat"),
     ),
-    "FamilySpec": (("empty", None, frozenset()), ("explicit", None, frozenset({"0:1", "0:1;1:1", "2:1"}))),
+    "FamilySpec": (("empty", None), ("explicit", frozenset({"0:1", "0:1;1:1", "2:1"}))),
     "AcceptsResult": ((True, None), (False, S1)),
     "RejectsResult": ((True, None), (False, S1)),
     "ForcingVerdict": (("accepts", None, None), ("undecided", S1, S0)),
     "DichotomyResult": ((1, S1), (None, None)),
     "OpenSetResult": (("inside", S1), (None, None)),
-    "CoidealPresentation": (("top_of", W, (S1,), None), ("mu_over", W, (), any_peak)),
+    "CoidealPresentation": (("all", W, None), ("mu_over", W, any_peak)),
     "RefineResult": (("left", S1), (None, None)),
     "DiagonalizationReport": ((True, None), (False, E1)),
     "NetFunction": ((2, Fraction(1, 2), ((0, 0), (3, 1))), (1, Fraction(1, 3), ((5, 0),))),
@@ -159,9 +155,9 @@ REFUSALS = [
     ("ColoringSpec", (1, 1, "size_mod"), FinkError, "need at least 2 colors, got 1"),
     ("ColoringSpec", (1, 2, "const", 2), FinkError, "constant color 2 outside 0..1"),
     ("ColoringSpec", (1, 2, "value_at", -1), FinkError, "value_at position -1 is negative"),
-    ("ColoringSpec", (1, 2, "table", None, {"0:1": 2}), FinkError, "color 2 for '0:1' outside 0..1"),
+    ("ColoringSpec", (1, 2, "table", {"0:1": 2}), FinkError, "color 2 for '0:1' outside 0..1"),
     ("EquivRelSpec", ("nope",), FinkError, "unknown relation kind 'nope'"),
-    ("EquivRelSpec", ("min_level",), FinkError, "relation kind 'min_level' needs a level >= 1, got 0"),
+    ("EquivRelSpec", ("min_level", 0), FinkError, "relation kind 'min_level' needs a level >= 1, got 0"),
     ("EquivRelSpec", ("table",), FinkError, "relation kind 'table' needs its classes"),
     ("FamilySpec", ("nope",), FinkError, "unknown family kind 'nope'"),
     ("FamilySpec", ("support_ge",), FinkError, "family kind 'support_ge' needs an integer parameter"),
@@ -175,6 +171,14 @@ REFUSALS = [
     ("NetFunction", (2, Fraction(1, 2), ((0, 2),)), FinkError, "exponent 2 at 0 outside 0..1"),
     ("NetFunction", (2, Fraction(1, 2), ((0, 1),)), FinkError,
      "net function never attains the value 1 (no exponent 0)"),
+    # the one kind and param check of the four specs, core.check_rule
+    ("ColoringSpec", (1, 2, "size_mod", 3), FinkError, "coloring kind 'size_mod' takes no parameter, got 3"),
+    ("EquivRelSpec", ("min_level",), FinkError, "relation kind 'min_level' needs a level"),
+    ("EquivRelSpec", ("equality", 3), FinkError, "relation kind 'equality' takes no parameter, got 3"),
+    ("FamilySpec", ("explicit",), FinkError, "family kind 'explicit' needs its members"),
+    ("FamilySpec", ("empty", 2), FinkError, "family kind 'empty' takes no parameter, got 2"),
+    ("CoidealPresentation", ("top_of", W), FinkError, "coideal kind 'top_of' needs a base"),
+    ("CoidealPresentation", ("all", W, ()), FinkError, "coideal kind 'all' takes no parameter, got ()"),
 ]
 
 

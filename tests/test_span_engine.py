@@ -438,7 +438,8 @@ def test_gowers_matches_flat_dfs(A, kind, r, m, rng):
     if len(A) == 0:
         return
     w = window_of(A)
-    f = ColoringSpec(1, r, kind, param=rng.randrange(w.n_max))
+    position = rng.randrange(w.n_max)
+    f = ColoringSpec(1, r, kind, param=position if kind == "value_at" else None)
     assert outcome(gowers_search(f, A, m, w)) == flat_gowers(f, A, m, w)
 
 
@@ -455,7 +456,8 @@ def test_ramsey2_matches_flat_dfs(A, kind, n, extra, rng):
     if len(A) < m:
         return
     w = window_of(A)
-    f = ColoringSpec(n, 2, kind, param=rng.randrange(w.n_max))
+    position = rng.randrange(w.n_max)
+    f = ColoringSpec(n, 2, kind, param=position if kind == "value_at" else None)
     assert outcome(ramsey2_search(f, A, m, w)) == flat_ramsey2(f, A, m, w)
 
 
